@@ -74,6 +74,10 @@ class EntropySection:
     max_scale: int = 10
     n_windows: int = 1
 
+    def __post_init__(self) -> None:
+        if self.n_windows < 1:
+            raise InvalidFormat(f"entropy.n_windows must be >= 1, got {self.n_windows}")
+
 
 @dataclass
 class PsdSection:

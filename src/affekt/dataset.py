@@ -27,6 +27,7 @@ from .errors import (
     EmptyClass,
     MalformedEvent,
     MissingFile,
+    NonFiniteSample,
     ShapeMismatch,
     UnknownEmotionName,
 )
@@ -125,6 +126,13 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     if raw.size != n_channels * n_samples:
         raise ShapeMismatch(
             f"{data_path}: {raw.size} floats on disk, sidecar says {n_channels}x{n_samples}"
+        )
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        channel, sample = divmod(int(bad[0]), n_samples)
+        raise NonFiniteSample(
+            f"{data_path}: channel {sidecar['channel_names'][channel]!r} sample {sample} "
+            f"is {raw[bad[0]]}"
         )
     rec = Recording(
         subject_id=sidecar["subject_id"],
@@ -382,7 +390,7 @@ def write_window_file(path, data: np.ndarray) -> None:
 
 
 def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f4")
+    raw = np.fromfile(_require(Path(path)), dtype="<f4")
     if raw.size != n_channels * window_len:
         raise ShapeMismatch(
             f"{path}: {raw.size} floats on disk, manifest says {n_channels}x{window_len}"

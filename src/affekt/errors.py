@@ -57,6 +57,10 @@ class InvalidFormat(UsageError):
     """A binary artifact has a bad magic, version, or truncated payload."""
 
 
+class NonFiniteSample(UsageError):
+    """A recording holds NaN or inf; message names the file, channel and sample."""
+
+
 class ShapeMismatch(AffektError):
     """Array payload size disagrees with its declared shape."""
 

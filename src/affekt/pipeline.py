@@ -27,7 +27,7 @@ import numpy as np
 from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig, paths_for
-from .entropy import EntropyParams, EntropyProfile, NoiseSpec, add_gaussian_noise, multiscale_entropy
+from .entropy import EntropyParams, EntropyProfile, NoiseSpec, add_gaussian_noise, complexity_shift_report
 from .errors import EmptyEvaluationSet, MissingFile, ShapeMismatch
 from .features import PsdSpec, psd_feature_values, read_feature_file, write_feature_file
 from .nn import CnnConfig
@@ -229,31 +229,31 @@ def _profile_json(profile: EntropyProfile) -> dict:
 
 def cmd_entropy(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
-    manifest, clean = _load_windows(paths.windows)
-    _, noisy = _load_windows(paths.windows_noisy)
+    manifest = _read_json(paths.windows / "windows.json")
     params = EntropyParams(
         m=cfg.entropy.m, r_factor=cfg.entropy.r_factor, max_scale=cfg.entropy.max_scale
     )
-    ids = sorted(clean)[: cfg.entropy.n_windows]
     names = manifest["channel_names"]
+    records = sorted(manifest["windows"], key=lambda r: r["id"])[: cfg.entropy.n_windows]
     windows_out = []
     deltas = []
-    for wid in ids:
+    for record in records:
+        clean, noisy = (
+            ds.read_window_file(d / record["file"], len(names), manifest["window_len"])
+            for d in (paths.windows, paths.windows_noisy)
+        )
         channels = []
-        for ch_idx, ch_name in enumerate(names):
-            prof_clean = multiscale_entropy(clean[wid][ch_idx], params)
-            prof_noisy = multiscale_entropy(noisy[wid][ch_idx], params)
-            delta = prof_noisy.complexity_index - prof_clean.complexity_index
-            deltas.append(delta)
+        for shift in complexity_shift_report(clean, noisy, params, names):
+            deltas.append(shift.delta)
             channels.append(
                 {
-                    "channel": ch_name,
-                    "clean": _profile_json(prof_clean),
-                    "noisy": _profile_json(prof_noisy),
-                    "delta": delta,
+                    "channel": shift.channel,
+                    "clean": _profile_json(shift.profile_clean),
+                    "noisy": _profile_json(shift.profile_noisy),
+                    "delta": shift.delta,
                 }
             )
-        windows_out.append({"window_id": wid, "channels": channels})
+        windows_out.append({"window_id": record["id"], "channels": channels})
     report = {
         "params": {"m": params.m, "r_factor": params.r_factor, "max_scale": params.max_scale},
         "windows": windows_out,
@@ -267,7 +267,7 @@ def cmd_entropy(cfg: PipelineConfig) -> dict:
     _write_json(paths.reports / "entropy.json", report)
     return {
         "stage": "entropy",
-        "n_windows": len(ids),
+        "n_windows": len(records),
         **report["summary"],
         "out": str(paths.reports / "entropy.json"),
     }

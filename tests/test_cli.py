@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from affekt.cli import main
@@ -176,3 +177,47 @@ def test_custom_blocks_override_preset():
     blocks = cfg.model.resolve_blocks()
     assert [b.out_width for b in blocks] == [4, 4]
     assert blocks[1].residual is True
+
+
+@pytest.mark.parametrize("n_windows", [0, -1])
+def test_entropy_n_windows_below_one_rejected(capsys, tmp_path, n_windows):
+    path = tiny_config(tmp_path, entropy={"n_windows": n_windows, "max_scale": 3})
+    code, _, err = run_cli(["entropy", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert "entropy.n_windows" in payload["message"]
+    assert str(n_windows) in payload["message"]
+
+
+def test_nonfinite_sample_rejected_at_preprocess(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    subject = tmp_path / "run" / "raw" / "sub-002"
+    sidecar = json.loads((subject / "eeg.json").read_text())
+    data = np.fromfile(subject / "eeg.f32", dtype="<f4").reshape(-1, sidecar["n_samples"])
+    data[2, 777] = np.nan
+    data.tofile(subject / "eeg.f32")
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "NonFiniteSample"
+    assert "sub-002" in payload["message"]
+    assert repr(sidecar["channel_names"][2]) in payload["message"]
+    assert "sample 777 " in payload["message"]
+
+
+def test_entropy_reads_only_analysed_windows(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "augment", "entropy"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    run_dir = tmp_path / "run"
+    report = (run_dir / "reports" / "entropy.json").read_bytes()
+    manifest = json.loads((run_dir / "windows" / "windows.json").read_text())
+    unused = sorted(r["file"] for r in manifest["windows"])[-1]
+    (run_dir / "windows" / unused).unlink()
+    (run_dir / "windows_noisy" / unused).unlink()
+    code, _, err = run_cli(["entropy", "--config", str(path)], capsys)
+    assert code == 0, err
+    assert (run_dir / "reports" / "entropy.json").read_bytes() == report

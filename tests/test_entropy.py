@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affekt.entropy import (
     ChannelShift,
@@ -33,6 +35,36 @@ def test_counts_match_bruteforce_oracle():
                 assert got == sampen_counts_bruteforce(x, m, r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), min_size=5, max_size=80),
+    step=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+    m=st.integers(1, 3),
+    r_steps=st.integers(0, 3),
+)
+def test_counts_exact_when_distances_tie_with_r(values, step, m, r_steps):
+    # quantised values make |a - b| == r common, so the <= boundary is hit
+    x = np.array(values, dtype=np.float64) * step
+    r = r_steps * step
+    assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)
+
+
+def test_counts_match_bruteforce_at_window_size():
+    rng = np.random.default_rng(1500)
+    t = np.arange(1500) / 512.0
+    series = (
+        rng.standard_normal(1500),
+        np.convolve(rng.standard_normal(1520), np.ones(21) / 21, mode="valid"),
+        np.sin(2 * np.pi * 10.0 * t) + 0.3 * rng.standard_normal(1500),
+    )
+    for x in series:
+        x = (x - x.mean()) / x.std()
+        for tau in range(1, 11):
+            grained = coarse_grain(x, tau)
+            got = template_match_counts(grained, 2, 0.15)
+            assert got == sampen_counts_bruteforce(grained, 2, 0.15), tau
+
+
 def test_counts_match_pure_python_on_small_series():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(40)
@@ -50,16 +82,18 @@ def test_alternating_series_counts_frozen():
 
 
 def test_constant_series_count_ratio():
-    # every template matches every other: a/b = (n-m-1)/(n-m+1) pairs ratio
-    n, m = 10, 2
-    x = np.zeros(n)
-    a, b = template_match_counts(x, m, 0.1)
-    n_m = n - m + 1
-    n_m1 = n - m
-    assert b == n_m * (n_m - 1) // 2
-    assert a == n_m1 * (n_m1 - 1) // 2
-    got = sample_entropy_abs(x, m, 0.1)
-    assert got == pytest.approx(-math.log(a / b), abs=1e-15)
+    # every template matches every other: a/b = (n-m-1)/(n-m+1) pairs ratio;
+    # at window size no first-value gap ever exceeds r, so the sweep runs every offset
+    m = 2
+    for n in (10, 1500):
+        x = np.zeros(n)
+        a, b = template_match_counts(x, m, 0.1)
+        n_m = n - m + 1
+        n_m1 = n - m
+        assert b == n_m * (n_m - 1) // 2
+        assert a == n_m1 * (n_m1 - 1) // 2
+        got = sample_entropy_abs(x, m, 0.1)
+        assert got == pytest.approx(-math.log(a / b), abs=1e-15)
 
 
 def test_series_too_short():
