@@ -18,7 +18,6 @@ from .dataset import (
     load_recording,
     make_batches,
     smote_resample,
-    split_and_batch,
     split_windows,
 )
 from .entropy import (
@@ -35,9 +34,7 @@ from .entropy import (
     template_match_counts,
 )
 from .features import (
-    FeatureMatrix,
     PsdSpec,
-    build_feature_matrix,
     psd_feature_values,
     read_feature_file,
     welch_psd,
@@ -59,7 +56,6 @@ from .stream import STRATEGIES, InterventionEvent, StreamSpec, stream_classify
 from .synth import synth_generate
 from .training import (
     AdamState,
-    Metrics,
     TrainConfig,
     TrainResult,
     adam_init,

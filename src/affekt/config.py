@@ -104,6 +104,12 @@ class SplitSection:
 class FeaturizeSection:
     source: str = "clean"  # or "augmented"
 
+    def __post_init__(self) -> None:
+        if self.source not in ("clean", "augmented"):
+            raise InvalidFormat(
+                f"featurize.source must be clean or augmented, got {self.source!r}"
+            )
+
 
 @dataclass
 class ModelSection:

@@ -92,12 +92,6 @@ class EmotionTable:
         self._ids[name] = len(self._ids)
         return self._ids[name]
 
-    def name_for(self, label_id: int) -> str:
-        for name, idx in self._ids.items():
-            if idx == label_id:
-                return name
-        raise UnknownEmotionName(f"no emotion with id {label_id}")
-
     def to_dict(self) -> dict[str, int]:
         return dict(self._ids)
 
@@ -369,17 +363,6 @@ def make_batches(items: list, batch_size: int = DEFAULT_BATCH_SIZE) -> list[list
     if batch_size < 1:
         raise EmptyClass(f"batch_size must be >= 1, got {batch_size}")
     return [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
-
-
-def split_and_batch(
-    windows: list[LabeledWindow],
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    seed: int = 0,
-    level: str = "window",
-) -> dict[str, list[list[LabeledWindow]]]:
-    splits = split_windows(windows, ratios, seed, level)
-    return {name: make_batches(splits[name], batch_size) for name in SPLIT_NAMES}
 
 
 # --- raw window payload files ---

@@ -43,45 +43,18 @@ class PsdSpec:
         return self.segment_len if self.segment_len is not None else int(round(fs_hz))
 
 
-@dataclass
-class FeatureMatrix:
-    """Standardized log-power image for one window."""
+def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch density estimate along the last axis.
 
-    values: np.ndarray
-    bin_freqs_hz: np.ndarray
-    label_id: int | None = None
-    source_window_id: str | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.bin_freqs_hz = np.asarray(self.bin_freqs_hz, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ShapeMismatch(f"values must be 2-D, got ndim={self.values.ndim}")
-        if self.values.shape[1] != self.bin_freqs_hz.size:
-            raise ShapeMismatch(
-                f"{self.values.shape[1]} columns vs {self.bin_freqs_hz.size} bin frequencies"
-            )
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
-
-
-def welch_psd(channel, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density estimate for a single channel.
-
-    Returns (freqs_hz, psd). Densities satisfy Parseval up to window effects:
-    sum(psd) * df approximates the channel variance.
+    Returns (freqs_hz, psd) with psd shaped like x except for its last axis.
+    Densities satisfy Parseval up to window effects: sum(psd) * df
+    approximates each series' variance.
     """
-    x = np.asarray(channel, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64)
     seg = spec.resolve_segment_len(fs_hz)
-    if x.size < seg:
-        raise WindowTooShort(f"window of {x.size} samples shorter than segment {seg}")
-    freqs, psd = sps.welch(
+    if x.shape[-1] < seg:
+        raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
+    return sps.welch(
         x,
         fs=fs_hz,
         window="hann",
@@ -89,8 +62,8 @@ def welch_psd(channel, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndar
         noverlap=int(round(seg * spec.overlap_fraction)),
         detrend="constant",
         scaling="density",
+        axis=-1,
     )
-    return freqs, psd
 
 
 def psd_feature_values(
@@ -107,32 +80,17 @@ def psd_feature_values(
         raise NyquistExceeded(
             f"max_freq_hz {spec.max_freq_hz} exceeds Nyquist {fs_hz / 2.0}"
         )
-    rows = []
-    bin_freqs: np.ndarray | None = None
-    for ch in data:
-        freqs, psd = welch_psd(ch, fs_hz, spec)
-        if bin_freqs is None:
-            keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
-            bin_freqs = freqs[keep]
-        rows.append(psd[keep])
-    logp = np.log(np.stack(rows) + LOG_FLOOR)
+    freqs, psd = welch_psd(data, fs_hz, spec)
+    keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
+    # welch returns a strided view, and mean/std sum a strided array in a
+    # different order than a contiguous one; the copy keeps the matrices
+    # bit-identical to a per-channel welch loop.
+    logp = np.log(np.ascontiguousarray(psd[:, keep]) + LOG_FLOOR)
     mu = logp.mean()
     sigma = logp.std()
     if sigma < 1e-12:
-        return np.zeros_like(logp), bin_freqs
-    return (logp - mu) / sigma, bin_freqs
-
-
-def build_feature_matrix(window, fs_hz: float, spec: PsdSpec = PsdSpec()) -> FeatureMatrix:
-    """FeatureMatrix for a labeled window (anything with .data/.window_id/.label)."""
-    values, bin_freqs = psd_feature_values(window.data, fs_hz, spec)
-    label = getattr(window, "label", None)
-    return FeatureMatrix(
-        values=values,
-        bin_freqs_hz=bin_freqs,
-        label_id=None if label is None else label.categorical,
-        source_window_id=getattr(window, "window_id", None),
-    )
+        return np.zeros_like(logp), freqs[keep]
+    return (logp - mu) / sigma, freqs[keep]
 
 
 # --- binary container: magic, version, dims, label id, row-major f32 LE ---

@@ -276,11 +276,57 @@ def cmd_entropy(cfg: PipelineConfig) -> dict:
 # --- featurize ---
 
 
+def _task_label(record: dict, task: str) -> int | None:
+    """Class index of a feature record for task, None if it has no label there."""
+    if record["task"] not in ("both", task) or record[task] is None:
+        return None
+    if task == "categorical":
+        return int(record["categorical"])
+    return ds.BINARY_CLASS_NAMES.index(record["binary"])
+
+
+def _write_smote_records(
+    features_dir: Path,
+    matrices: dict[str, np.ndarray],
+    labeled: list[tuple[str, int]],
+    task: str,
+    id_prefix: str,
+    spec: ds.SmoteSpec,
+) -> list[dict]:
+    """Balance the (window id, class index) train pairs of one task with SMOTE.
+
+    Writes each synthetic matrix as a feature file and returns its manifest
+    records, numbered in the order smote_resample emits them.
+    """
+    if not labeled:
+        return []
+    shape = matrices[labeled[0][0]].shape
+    vectors = np.stack([matrices[wid].ravel() for wid, _ in labeled])
+    labels = np.array([label for _, label in labeled])
+    out_x, out_y, synthetic = ds.smote_resample(vectors, labels, spec)
+    records = []
+    for n, i in enumerate(np.flatnonzero(synthetic)):
+        sid = f"{id_prefix}{n:04d}"
+        label = int(out_y[i])
+        write_feature_file(features_dir / f"{sid}.eegf", out_x[i].reshape(shape), label)
+        records.append(
+            {
+                "id": sid,
+                "file": f"{sid}.eegf",
+                "window_id": None,
+                "split": "train",
+                "synthetic": True,
+                "task": task,
+                "categorical": label if task == "categorical" else None,
+                "binary": ds.BINARY_CLASS_NAMES[label] if task == "binary" else None,
+            }
+        )
+    return records
+
+
 def cmd_featurize(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
     source = cfg.featurize.source
-    if source not in ("clean", "augmented"):
-        raise ShapeMismatch(f"featurize.source must be clean or augmented, got {source!r}")
     src_dir = paths.windows if source == "clean" else paths.windows_noisy
     manifest, data = _load_windows(src_dir)
     fs_hz = manifest["sample_rate_hz"]
@@ -312,62 +358,29 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
 
     n_channels, n_bins = next(iter(matrices.values())).shape
     train_ids = manifest["split_order"]["train"]
-    n_synth = {"categorical": 0, "binary": 0}
     by_id = {r["id"]: r for r in records}
-
-    # Categorical balancing over all train windows.
-    cat_vectors = np.stack([matrices[wid].ravel() for wid in train_ids])
-    cat_labels = np.array([by_id[wid]["categorical"] for wid in train_ids])
-    smote_spec = ds.SmoteSpec(k_neighbors=cfg.smote.k_neighbors, seed=cfg.smote.seed)
-    out_x, out_y, synthetic = ds.smote_resample(cat_vectors, cat_labels, smote_spec)
-    for i in np.flatnonzero(synthetic):
-        sid = f"smote-cat-{n_synth['categorical']:04d}"
-        n_synth["categorical"] += 1
-        fname = f"{sid}.eegf"
-        write_feature_file(
-            paths.features / fname, out_x[i].reshape(n_channels, n_bins), int(out_y[i])
+    n_synth = {}
+    # Categorical balancing over all train windows, binary balancing over the
+    # train windows that carry a polarity.
+    for task, id_prefix, seed in (
+        ("categorical", "smote-cat-", cfg.smote.seed),
+        ("binary", "smote-bin-", cfg.smote.seed + 1),
+    ):
+        labeled = [
+            (wid, label)
+            for wid in train_ids
+            if (label := _task_label(by_id[wid], task)) is not None
+        ]
+        synthetic = _write_smote_records(
+            paths.features,
+            matrices,
+            labeled,
+            task,
+            id_prefix,
+            ds.SmoteSpec(k_neighbors=cfg.smote.k_neighbors, seed=seed),
         )
-        records.append(
-            {
-                "id": sid,
-                "file": fname,
-                "window_id": None,
-                "split": "train",
-                "synthetic": True,
-                "task": "categorical",
-                "categorical": int(out_y[i]),
-                "binary": None,
-            }
-        )
-
-    # Binary balancing over the train windows that carry a polarity.
-    bin_ids = [wid for wid in train_ids if by_id[wid]["binary"] is not None]
-    if bin_ids:
-        bin_vectors = np.stack([matrices[wid].ravel() for wid in bin_ids])
-        bin_labels = np.array(
-            [ds.BINARY_CLASS_NAMES.index(by_id[wid]["binary"]) for wid in bin_ids]
-        )
-        smote_spec_bin = ds.SmoteSpec(k_neighbors=cfg.smote.k_neighbors, seed=cfg.smote.seed + 1)
-        out_x, out_y, synthetic = ds.smote_resample(bin_vectors, bin_labels, smote_spec_bin)
-        for i in np.flatnonzero(synthetic):
-            sid = f"smote-bin-{n_synth['binary']:04d}"
-            n_synth["binary"] += 1
-            fname = f"{sid}.eegf"
-            write_feature_file(
-                paths.features / fname, out_x[i].reshape(n_channels, n_bins), int(out_y[i])
-            )
-            records.append(
-                {
-                    "id": sid,
-                    "file": fname,
-                    "window_id": None,
-                    "split": "train",
-                    "synthetic": True,
-                    "task": "binary",
-                    "categorical": None,
-                    "binary": ds.BINARY_CLASS_NAMES[int(out_y[i])],
-                }
-            )
+        records.extend(synthetic)
+        n_synth[task] = len(synthetic)
 
     feature_manifest = {
         "source": source,
@@ -393,10 +406,9 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
 # --- train ---
 
 
-def _task_arrays(paths, manifest: dict, task: str):
-    """(train_items, val_items, test_items) as (x, label_index) pairs."""
-    table = manifest["emotion_table"]
-    n_classes = len(table) if task == "categorical" else 2
+def _task_items(features_dir: Path, manifest: dict, task: str):
+    """Per split, the (feature file path, class index) pairs of one task, in train order."""
+    n_classes = len(manifest["emotion_table"]) if task == "categorical" else 2
     by_split: dict[str, list] = {"train": [], "val": [], "test": []}
     id_order = {rid: pos for pos, rid in enumerate(manifest["train_order"])}
     records = sorted(
@@ -404,25 +416,19 @@ def _task_arrays(paths, manifest: dict, task: str):
         key=lambda r: (id_order.get(r["id"], len(id_order)), r["id"]),
     )
     for record in records:
-        if task == "categorical":
-            if record["task"] not in ("both", "categorical") or record["categorical"] is None:
-                continue
-            label = int(record["categorical"])
-        else:
-            if record["task"] not in ("both", "binary") or record["binary"] is None:
-                continue
-            label = ds.BINARY_CLASS_NAMES.index(record["binary"])
-        values, _ = read_feature_file(paths.features / record["file"])
-        by_split[record["split"]].append((values, label))
+        label = _task_label(record, task)
+        if label is not None:
+            by_split[record["split"]].append((features_dir / record["file"], label))
     return by_split, n_classes
 
 
 def _as_batches(items, n_classes: int, batch_size: int, rng: np.random.Generator | None):
+    """Read the feature files of (path, label) items into (x, onehot) batches."""
     if rng is not None and len(items) > 1:
         items = [items[i] for i in rng.permutation(len(items))]
     batches = []
     for chunk in ds.make_batches(items, batch_size):
-        x = np.stack([values for values, _ in chunk])
+        x = np.stack([read_feature_file(path)[0] for path, _ in chunk])
         y = np.zeros((len(chunk), n_classes))
         for row, (_, label) in enumerate(chunk):
             y[row, label] = 1.0
@@ -442,7 +448,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     paths.model.mkdir(parents=True, exist_ok=True)
     report: dict = {"stage": "train"}
     for task_key, (task, stem) in TASKS.items():
-        by_split, n_classes = _task_arrays(paths, manifest, task)
+        by_split, n_classes = _task_items(paths.features, manifest, task)
         if not by_split["train"] or not by_split["val"]:
             raise EmptyEvaluationSet(f"{task}: empty train or val split")
         rng = np.random.default_rng(cfg.train.seed + (0 if task == "binary" else 1))
@@ -510,31 +516,22 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 def cmd_eval(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
     manifest = _read_json(paths.features / "manifest.json")
-    metrics: dict = {"task1": {}, "task2": {}}
+    metrics: dict = {}
     times = []
     for task_key, (task, stem) in TASKS.items():
         ckpt_path = paths.model / f"{stem}.ckpt"
         if not ckpt_path.exists():
             raise MissingFile(f"{ckpt_path} does not exist; run train first")
         cnn_cfg, params, _meta = load_checkpoint(ckpt_path)
-        by_split, n_classes = _task_arrays(paths, manifest, task)
+        by_split, n_classes = _task_items(paths.features, manifest, task)
         if n_classes != cnn_cfg.n_classes:
             raise ShapeMismatch(
                 f"{task}: checkpoint has {cnn_cfg.n_classes} classes, data has {n_classes}"
             )
         test_batches = _as_batches(by_split["test"], n_classes, cfg.split.batch_size, None)
-        result = evaluate(params, cnn_cfg, test_batches, task)
-        times.append(result.time_per_batch_ms)
-        if task == "binary":
-            metrics["task1"] = {
-                "binary_loss": result.binary_loss,
-                "binary_accuracy": result.binary_accuracy,
-            }
-        else:
-            metrics["task2"] = {
-                "categorical_loss": result.categorical_loss,
-                "categorical_accuracy": result.categorical_accuracy,
-            }
+        loss, accuracy, ms_per_batch = evaluate(params, cnn_cfg, test_batches)
+        times.append(ms_per_batch)
+        metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
     metrics["time_per_batch_ms"] = float(np.mean(times))
     paths.reports.mkdir(parents=True, exist_ok=True)
     _write_json(paths.reports / "metrics.json", metrics)

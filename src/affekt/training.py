@@ -102,8 +102,11 @@ class TrainResult:
     stopped_epoch: int
 
 
-def _eval_pass(params: dict, cfg: CnnConfig, batches) -> tuple[float, float, float]:
-    """(mean loss, accuracy, mean forward ms per batch), sample-weighted."""
+def evaluate(params: dict, cfg: CnnConfig, batches) -> tuple[float, float, float]:
+    """(mean loss, accuracy, mean forward ms per batch), sample-weighted.
+
+    batches is a list of (x, onehot) pairs.
+    """
     if not batches:
         raise EmptyEvaluationSet("no batches to evaluate")
     total_loss = 0.0
@@ -155,7 +158,7 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
             loss_sum += loss * len(x)
             n_sum += len(x)
         train_loss = loss_sum / n_sum
-        val_loss, val_acc, _ = _eval_pass(params, cfg, val_batches)
+        val_loss, val_acc, _ = evaluate(params, cfg, val_batches)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss not finite at epoch {epoch}")
         epoch_log.append(EpochRecord(epoch, lr, train_loss, val_loss, val_acc))
@@ -174,22 +177,3 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
         best_epoch=best_epoch,
         stopped_epoch=epoch,
     )
-
-
-@dataclass
-class Metrics:
-    binary_loss: float | None = None
-    binary_accuracy: float | None = None
-    categorical_loss: float | None = None
-    categorical_accuracy: float | None = None
-    time_per_batch_ms: float = 0.0
-
-
-def evaluate(params: dict, cfg: CnnConfig, batches, task: str) -> Metrics:
-    """Loss/accuracy on held-out batches for one task ("binary"/"categorical")."""
-    loss, acc, ms = _eval_pass(params, cfg, batches)
-    if task == "binary":
-        return Metrics(binary_loss=loss, binary_accuracy=acc, time_per_batch_ms=ms)
-    if task == "categorical":
-        return Metrics(categorical_loss=loss, categorical_accuracy=acc, time_per_batch_ms=ms)
-    raise ShapeMismatch(f"task must be binary or categorical, got {task!r}")

@@ -190,6 +190,16 @@ def test_entropy_n_windows_below_one_rejected(capsys, tmp_path, n_windows):
     assert str(n_windows) in payload["message"]
 
 
+def test_featurize_source_rejected_at_config_load(capsys, tmp_path):
+    path = tiny_config(tmp_path, featurize={"source": "noisy"})
+    code, _, err = run_cli(["synth", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert "featurize.source" in payload["message"]
+    assert "'noisy'" in payload["message"]
+
+
 def test_nonfinite_sample_rejected_at_preprocess(capsys, tmp_path):
     path = tiny_config(tmp_path)
     assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0

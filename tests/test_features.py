@@ -4,12 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from affekt.errors import InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
 from affekt.features import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
-    FeatureMatrix,
+    LOG_FLOOR,
     PsdSpec,
     psd_feature_values,
     read_feature_file,
@@ -33,8 +34,6 @@ def test_parseval_on_sinusoid():
 
 def test_parseval_on_band_limited_noise():
     rng = np.random.default_rng(8)
-    from scipy import signal as sps
-
     sos = sps.butter(4, 60.0, btype="lowpass", fs=FS, output="sos")
     x = sps.sosfiltfilt(sos, rng.standard_normal(8192))
     freqs, psd = welch_psd(x, FS, PsdSpec())
@@ -58,6 +57,36 @@ def test_segment_len_defaults_to_one_second():
 def test_window_too_short():
     with pytest.raises(WindowTooShort):
         welch_psd(np.zeros(100), FS, PsdSpec(segment_len=512))
+    # 128 x 100 holds 12800 samples in all, but each channel is still too short
+    with pytest.raises(WindowTooShort):
+        psd_feature_values(np.zeros((128, 100)), FS, PsdSpec(segment_len=512))
+
+
+@pytest.mark.parametrize(
+    "spec", [PsdSpec(), PsdSpec(segment_len=200, overlap_fraction=0.25, max_freq_hz=90.0)]
+)
+@pytest.mark.parametrize("n_channels", [1, 2, 3, 32, 128])
+def test_feature_values_equal_per_channel_welch(n_channels, spec):
+    rng = np.random.default_rng(n_channels)
+    data = rng.standard_normal((n_channels, 1500))
+    seg = spec.resolve_segment_len(FS)
+    rows = []
+    for ch in data:
+        freqs, psd = sps.welch(
+            ch,
+            fs=FS,
+            window="hann",
+            nperseg=seg,
+            noverlap=int(round(seg * spec.overlap_fraction)),
+            detrend="constant",
+            scaling="density",
+        )
+        keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
+        rows.append(psd[keep])
+    logp = np.log(np.stack(rows) + LOG_FLOOR)
+    values, bins = psd_feature_values(data, FS, spec)
+    np.testing.assert_array_equal(bins, freqs[keep])
+    assert np.array_equal(values, (logp - logp.mean()) / logp.std())
 
 
 def test_feature_matrix_shape_and_bins():
@@ -129,8 +158,3 @@ def test_feature_file_truncated_payload(tmp_path):
     path.write_bytes(raw[:-6])
     with pytest.raises((InvalidFormat, ShapeMismatch)):
         read_feature_file(path)
-
-
-def test_feature_matrix_validation():
-    with pytest.raises(ShapeMismatch):
-        FeatureMatrix(values=np.zeros((2, 3)), bin_freqs_hz=np.arange(4.0))

@@ -150,12 +150,12 @@ def test_evaluate_accuracy_and_empty_guard():
     cfg, train_batches, val_batches = toy_task(seed=4)
     tcfg = TrainConfig(max_epochs=25, patience=25, lr0=0.05, seed=2)
     result = train(cfg, tcfg, train_batches, val_batches)
-    metrics = evaluate(result.params, cfg, val_batches, task="binary")
-    assert metrics.binary_accuracy >= 0.9
-    assert metrics.binary_loss < 0.7
-    assert metrics.time_per_batch_ms >= 0.0
+    loss, accuracy, ms_per_batch = evaluate(result.params, cfg, val_batches)
+    assert accuracy >= 0.9
+    assert loss < 0.7
+    assert ms_per_batch >= 0.0
     with pytest.raises(EmptyEvaluationSet):
-        evaluate(result.params, cfg, [], task="binary")
+        evaluate(result.params, cfg, [])
 
 
 def test_uniform_predictor_is_at_chance():
@@ -172,9 +172,9 @@ def test_uniform_predictor_is_at_chance():
     y = np.eye(3)[labels]
     probs = forward(params, cfg, x)
     np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-15)
-    metrics = evaluate(params, cfg, [(x, y)], task="categorical")
+    _, accuracy, _ = evaluate(params, cfg, [(x, y)])
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
-    assert abs(metrics.categorical_accuracy - 1 / 3) <= 3 * sigma + 1e-9
+    assert abs(accuracy - 1 / 3) <= 3 * sigma + 1e-9
 
 
 def test_checkpoint_roundtrip(tmp_path):
