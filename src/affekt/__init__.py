@@ -47,10 +47,8 @@ from .signals import (
     FilterSpec,
     Recording,
     analog_butterworth_gain,
-    apply_filter,
     design_filter,
     powerline_notch,
-    zscore,
 )
 from .stream import STRATEGIES, InterventionEvent, StreamSpec, stream_classify
 from .synth import synth_generate

@@ -16,35 +16,15 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import InvalidFormat
-from .nn import BlockSpec, CnnConfig
+from .nn import CnnConfig
 
 CHECKPOINT_MAGIC = b"EEGM"
 CHECKPOINT_VERSION = 1
 MAX_RANK = 8
 
 
-def config_to_dict(cfg: CnnConfig) -> dict:
-    return {
-        "input_channels": cfg.input_channels,
-        "input_bins": cfg.input_bins,
-        "blocks": [asdict(b) for b in cfg.blocks],
-        "n_classes": cfg.n_classes,
-        "seed": cfg.seed,
-    }
-
-
-def config_from_dict(d: dict) -> CnnConfig:
-    return CnnConfig(
-        input_channels=int(d["input_channels"]),
-        input_bins=int(d["input_bins"]),
-        blocks=tuple(BlockSpec(**b) for b in d["blocks"]),
-        n_classes=int(d["n_classes"]),
-        seed=int(d.get("seed", 0)),
-    )
-
-
 def save_checkpoint(path, cfg: CnnConfig, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    header = config_to_dict(cfg)
+    header = asdict(cfg)
     if meta:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -99,4 +79,4 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
             payload = _read_exact(fh, 4 * count, path, f"payload of {name}")
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
     meta = header.pop("meta", {})
-    return config_from_dict(header), params, meta
+    return CnnConfig(**header), params, meta

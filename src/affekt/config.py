@@ -4,6 +4,11 @@ Every stage seed lives in the file (there is no wall-clock fallback), so a
 config fully determines every artifact. `--seed N` on the command line
 replaces all stage seeds with N plus fixed offsets; `--out DIR` replaces the
 workdir. Unknown keys are rejected to catch typos early.
+
+A section whose stage has a spec class (noise, entropy, psd, smote, train) is
+an instance of that class, so each section is validated by its stage's own
+rules when the file is loaded: a bad value fails as InvalidFormat naming the
+section before any stage runs.
 """
 
 from __future__ import annotations
@@ -13,9 +18,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidFormat, MissingFile
+from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec
+from .entropy import EntropyParams, NoiseSpec
+from .errors import AffektError, InvalidFormat, MissingFile
+from .features import PsdSpec
 from .nn import BlockSpec
+from .signals import FilterKind
+from .stream import StreamSpec
 from .synth import DEFAULT_CLASS_MIX
+from .training import TrainConfig
 
 # Named block stacks so differently shaped classifiers can be compared by
 # flipping one config key, mirroring a three-architecture comparison at toy
@@ -37,7 +48,7 @@ MODEL_PRESETS: dict[str, tuple[dict, ...]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSection:
     n_subjects: int = 4
     events_per_subject: int = 8
@@ -47,52 +58,38 @@ class SynthSection:
     seed: int = 101
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterSection:
+    """FilterSpec without fs_hz, which comes from the recording."""
+
     kind: str = "bandstop"
     order_n: int = 4
     edges_hz: tuple = (48.0, 52.0)
 
+    def __post_init__(self) -> None:
+        kinds = [k.value for k in FilterKind]
+        if self.kind not in kinds:
+            raise InvalidFormat(f"kind must be one of {kinds}, got {self.kind!r}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class WindowSection:
     length_samples: int = 1500
     thresholds: tuple = (4.0, 6.0)
     rating_dimension: str = "arousal"
 
 
-@dataclass
-class NoiseSection:
-    max_magnitude: float = 4.0
-    seed: int = 202
-
-
-@dataclass
-class EntropySection:
-    m: int = 2
-    r_factor: float = 0.15
-    max_scale: int = 10
+@dataclass(frozen=True)
+class EntropySection(EntropyParams):
     n_windows: int = 1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_windows < 1:
             raise InvalidFormat(f"entropy.n_windows must be >= 1, got {self.n_windows}")
 
 
-@dataclass
-class PsdSection:
-    segment_len: int | None = None
-    overlap_fraction: float = 0.5
-    max_freq_hz: float = 128.0
-
-
-@dataclass
-class SmoteSection:
-    k_neighbors: int = 5
-    seed: int = 303
-
-
-@dataclass
+@dataclass(frozen=True)
 class SplitSection:
     ratios: tuple = (0.70, 0.15, 0.15)
     batch_size: int = 32
@@ -100,7 +97,7 @@ class SplitSection:
     level: str = "window"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeaturizeSection:
     source: str = "clean"  # or "augmented"
 
@@ -111,11 +108,14 @@ class FeaturizeSection:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSection:
     preset: str | None = "cnn-small"
     blocks: tuple | None = None
     seed: int = 505
+
+    def __post_init__(self) -> None:
+        self.resolve_blocks()
 
     def resolve_blocks(self) -> tuple[BlockSpec, ...]:
         if self.blocks is not None:
@@ -127,57 +127,44 @@ class ModelSection:
         return tuple(BlockSpec(**dict(b)) for b in MODEL_PRESETS[self.preset])
 
 
-@dataclass
-class TrainSection:
-    max_epochs: int = 400
-    lr0: float = 1e-3
-    lr_decay: float = 0.99
-    patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 606
-
-
-@dataclass
+@dataclass(frozen=True)
 class StreamSection:
+    """StreamSpec without window_len, which comes from window.length_samples."""
+
     hop_samples: int = 375
     trigger_consecutive: int = 1
     strategy_policy: str = "round_robin"
     source_subject: str = "sub-001"
 
+    def __post_init__(self) -> None:
+        self.spec()
 
-_SECTIONS = {
-    "synth": SynthSection,
-    "filter": FilterSection,
-    "window": WindowSection,
-    "noise": NoiseSection,
-    "entropy": EntropySection,
-    "psd": PsdSection,
-    "smote": SmoteSection,
-    "split": SplitSection,
-    "featurize": FeaturizeSection,
-    "model": ModelSection,
-    "train": TrainSection,
-    "stream": StreamSection,
-}
+    def spec(self, window_len: int = DEFAULT_WINDOW_LEN) -> StreamSpec:
+        return StreamSpec(
+            window_len, self.hop_samples, self.trigger_consecutive, self.strategy_policy
+        )
 
 
 @dataclass
 class PipelineConfig:
+    """Sections whose stage has a spec class are instances of it, with config seeds."""
+
     workdir: str
     synth: SynthSection = field(default_factory=SynthSection)
-    filter: FilterSection = field(default_factory=FilterSection)
-    window: WindowSection = field(default_factory=WindowSection)
-    noise: NoiseSection = field(default_factory=NoiseSection)
-    entropy: EntropySection = field(default_factory=EntropySection)
-    psd: PsdSection = field(default_factory=PsdSection)
-    smote: SmoteSection = field(default_factory=SmoteSection)
-    split: SplitSection = field(default_factory=SplitSection)
-    featurize: FeaturizeSection = field(default_factory=FeaturizeSection)
-    model: ModelSection = field(default_factory=ModelSection)
-    train: TrainSection = field(default_factory=TrainSection)
-    stream: StreamSection = field(default_factory=StreamSection)
+    filter: FilterSection = FilterSection()
+    window: WindowSection = WindowSection()
+    noise: NoiseSpec = NoiseSpec(seed=202)
+    entropy: EntropySection = EntropySection()
+    psd: PsdSpec = PsdSpec()
+    smote: SmoteSpec = SmoteSpec(seed=303)
+    split: SplitSection = SplitSection()
+    featurize: FeaturizeSection = FeaturizeSection()
+    model: ModelSection = ModelSection()
+    train: TrainConfig = TrainConfig(seed=606)
+    stream: StreamSection = StreamSection()
+
+
+_SECTIONS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "workdir")
 
 
 @dataclass
@@ -209,9 +196,11 @@ class Paths:
         return self.root / "reports"
 
 
-def _build_section(cls, data: dict, where: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+def _build_section(default, data, where: str):
+    """The default section with data's keys replaced, validated by the section's own rules."""
+    if not isinstance(data, dict):
+        raise InvalidFormat(f"config section {where!r} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(default)})
     if unknown:
         raise InvalidFormat(f"config section {where!r}: unknown keys {unknown}")
     coerced = {}
@@ -220,8 +209,8 @@ def _build_section(cls, data: dict, where: str):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value
     try:
-        return cls(**coerced)
-    except TypeError as exc:
+        return dataclasses.replace(default, **coerced)
+    except (AffektError, ValueError, TypeError) as exc:
         raise InvalidFormat(f"config section {where!r}: {exc}") from exc
 
 
@@ -231,14 +220,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
     unknown = sorted(set(data) - set(_SECTIONS) - {"workdir"})
     if unknown:
         raise InvalidFormat(f"config: unknown top-level keys {unknown}")
-    sections = {
-        name: _build_section(cls, data.get(name, {}) or {}, name)
-        for name, cls in _SECTIONS.items()
-    }
-    # Model blocks given as lists of dicts stay dicts for resolve_blocks.
-    if isinstance(data.get("model", {}).get("blocks"), list):
-        sections["model"].blocks = tuple(data["model"]["blocks"])
-    return PipelineConfig(workdir=str(data["workdir"]), **sections)
+    cfg = PipelineConfig(workdir=str(data["workdir"]))
+    for name in _SECTIONS:
+        setattr(cfg, name, _build_section(getattr(cfg, name), data.get(name) or {}, name))
+    return cfg
 
 
 def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> PipelineConfig:
@@ -262,12 +247,8 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
 
 def apply_seed_override(cfg: PipelineConfig, seed: int) -> None:
     """Rewrite every stage seed as seed + fixed offset."""
-    cfg.synth.seed = seed + 1
-    cfg.noise.seed = seed + 2
-    cfg.smote.seed = seed + 3
-    cfg.split.seed = seed + 4
-    cfg.model.seed = seed + 5
-    cfg.train.seed = seed + 6
+    for offset, name in enumerate(("synth", "noise", "smote", "split", "model", "train"), 1):
+        setattr(cfg, name, dataclasses.replace(getattr(cfg, name), seed=seed + offset))
 
 
 def paths_for(cfg: PipelineConfig) -> Paths:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,13 @@ import numpy as np
 from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig, paths_for
-from .entropy import EntropyParams, EntropyProfile, NoiseSpec, add_gaussian_noise, complexity_shift_report
+from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
 from .errors import EmptyEvaluationSet, MissingFile, ShapeMismatch
-from .features import PsdSpec, psd_feature_values, read_feature_file, write_feature_file
+from .features import psd_feature_values, read_feature_file, write_feature_file
 from .nn import CnnConfig
-from .signals import FilterKind, FilterSpec, apply_filter, design_filter, zscore
-from .stream import StreamSpec, stream_classify
-from .training import TrainConfig, evaluate, train
+from .signals import FilterSpec, design_filter, filter_array, zscore_array
+from .stream import stream_classify
+from .training import evaluate, train
 
 log = logging.getLogger(__name__)
 
@@ -53,20 +54,7 @@ def _read_json(path: Path) -> dict:
 
 
 def _filter_spec(cfg: PipelineConfig, fs_hz: float) -> FilterSpec:
-    return FilterSpec(
-        kind=FilterKind(cfg.filter.kind),
-        order_n=cfg.filter.order_n,
-        edges_hz=tuple(cfg.filter.edges_hz),
-        fs_hz=fs_hz,
-    )
-
-
-def _psd_spec(cfg: PipelineConfig) -> PsdSpec:
-    return PsdSpec(
-        segment_len=cfg.psd.segment_len,
-        overlap_fraction=cfg.psd.overlap_fraction,
-        max_freq_hz=cfg.psd.max_freq_hz,
-    )
+    return FilterSpec(**asdict(cfg.filter), fs_hz=fs_hz)
 
 
 # --- synth ---
@@ -118,7 +106,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
             raise ShapeMismatch(
                 f"{subject_dir}: fs {rec.sample_rate_hz} differs from {fs_hz}"
             )
-        cleaned = zscore(apply_filter(realization, rec))
+        cleaned = replace(rec, data=zscore_array(filter_array(realization, rec.data)))
         windows.extend(
             ds.extract_windows(
                 cleaned,
@@ -202,12 +190,14 @@ def cmd_augment(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
     manifest, data = _load_windows(paths.windows)
     paths.windows_noisy.mkdir(parents=True, exist_ok=True)
-    for idx, record in enumerate(manifest["windows"]):
-        spec = NoiseSpec(max_magnitude=cfg.noise.max_magnitude, seed=cfg.noise.seed ^ idx)
-        noisy = add_gaussian_noise(data[record["id"]], spec)
+    # Per-window seeds spawned from noise.seed are independent across windows
+    # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
+    seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
+    for record, seed in zip(manifest["windows"], seeds):
+        noisy = add_gaussian_noise(data[record["id"]], replace(cfg.noise, seed=int(seed)))
         ds.write_window_file(paths.windows_noisy / record["file"], noisy)
     manifest = dict(manifest)
-    manifest["noise"] = {"max_magnitude": cfg.noise.max_magnitude, "seed": cfg.noise.seed}
+    manifest["noise"] = asdict(cfg.noise)
     _write_json(paths.windows_noisy / "windows.json", manifest)
     return {
         "stage": "augment",
@@ -230,11 +220,9 @@ def _profile_json(profile: EntropyProfile) -> dict:
 def cmd_entropy(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
     manifest = _read_json(paths.windows / "windows.json")
-    params = EntropyParams(
-        m=cfg.entropy.m, r_factor=cfg.entropy.r_factor, max_scale=cfg.entropy.max_scale
-    )
+    params = cfg.entropy
     names = manifest["channel_names"]
-    records = sorted(manifest["windows"], key=lambda r: r["id"])[: cfg.entropy.n_windows]
+    records = sorted(manifest["windows"], key=lambda r: r["id"])[: params.n_windows]
     windows_out = []
     deltas = []
     for record in records:
@@ -330,14 +318,13 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
     src_dir = paths.windows if source == "clean" else paths.windows_noisy
     manifest, data = _load_windows(src_dir)
     fs_hz = manifest["sample_rate_hz"]
-    psd_spec = _psd_spec(cfg)
 
     paths.features.mkdir(parents=True, exist_ok=True)
     records = []
     matrices: dict[str, np.ndarray] = {}
     bin_freqs = None
     for record in manifest["windows"]:
-        values, freqs = psd_feature_values(data[record["id"]], fs_hz, psd_spec)
+        values, freqs = psd_feature_values(data[record["id"]], fs_hz, cfg.psd)
         if bin_freqs is None:
             bin_freqs = freqs
         matrices[record["id"]] = values
@@ -362,23 +349,16 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
     n_synth = {}
     # Categorical balancing over all train windows, binary balancing over the
     # train windows that carry a polarity.
-    for task, id_prefix, seed in (
-        ("categorical", "smote-cat-", cfg.smote.seed),
-        ("binary", "smote-bin-", cfg.smote.seed + 1),
+    for task, id_prefix, spec in (
+        ("categorical", "smote-cat-", cfg.smote),
+        ("binary", "smote-bin-", replace(cfg.smote, seed=cfg.smote.seed + 1)),
     ):
         labeled = [
             (wid, label)
             for wid in train_ids
             if (label := _task_label(by_id[wid], task)) is not None
         ]
-        synthetic = _write_smote_records(
-            paths.features,
-            matrices,
-            labeled,
-            task,
-            id_prefix,
-            ds.SmoteSpec(k_neighbors=cfg.smote.k_neighbors, seed=seed),
-        )
+        synthetic = _write_smote_records(paths.features, matrices, labeled, task, id_prefix, spec)
         records.extend(synthetic)
         n_synth[task] = len(synthetic)
 
@@ -461,17 +441,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
             n_classes=n_classes,
             seed=cfg.model.seed + (0 if task == "binary" else 1),
         )
-        tcfg = TrainConfig(
-            max_epochs=cfg.train.max_epochs,
-            lr0=cfg.train.lr0,
-            lr_decay=cfg.train.lr_decay,
-            patience=cfg.train.patience,
-            beta1=cfg.train.beta1,
-            beta2=cfg.train.beta2,
-            eps=cfg.train.eps,
-            seed=cfg.train.seed,
-        )
-        result = train(cnn_cfg, tcfg, train_batches, val_batches)
+        result = train(cnn_cfg, cfg.train, train_batches, val_batches)
         if task == "binary":
             class_names = list(ds.BINARY_CLASS_NAMES)
         else:
@@ -550,16 +520,11 @@ def cmd_stream(cfg: PipelineConfig) -> dict:
     subject_dir = paths.raw / cfg.stream.source_subject
     rec, _events = ds.load_recording(subject_dir)
     realization = design_filter(_filter_spec(cfg, rec.sample_rate_hz))
-    spec = StreamSpec(
-        window_len=cfg.window.length_samples,
-        hop_samples=cfg.stream.hop_samples,
-        trigger_consecutive=cfg.stream.trigger_consecutive,
-        strategy_policy=cfg.stream.strategy_policy,
-    )
+    spec = cfg.stream.spec(cfg.window.length_samples)
     result = stream_classify(
         rec,
         realization,
-        _psd_spec(cfg),
+        cfg.psd,
         params,
         cnn_cfg,
         tuple(meta.get("class_names", ds.BINARY_CLASS_NAMES)),

@@ -156,20 +156,6 @@ def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
     return sps.sosfiltfilt(real.sections, np.asarray(data, dtype=np.float64), axis=-1)
 
 
-def apply_filter(real: FilterRealization, rec: Recording) -> Recording:
-    """Filter every channel independently; returns a new Recording."""
-    if rec.sample_rate_hz != real.spec.fs_hz:
-        raise ShapeMismatch(
-            f"recording fs {rec.sample_rate_hz} != filter design fs {real.spec.fs_hz}"
-        )
-    return Recording(
-        subject_id=rec.subject_id,
-        sample_rate_hz=rec.sample_rate_hz,
-        channel_names=list(rec.channel_names),
-        data=filter_array(real, rec.data),
-    )
-
-
 def zscore_array(data: np.ndarray) -> np.ndarray:
     """Standard score per row with population sigma.
 
@@ -182,12 +168,3 @@ def zscore_array(data: np.ndarray) -> np.ndarray:
     centered = data - mu
     out = np.where(sigma < SIGMA_FLOOR, 0.0, centered / np.where(sigma < SIGMA_FLOOR, 1.0, sigma))
     return out
-
-
-def zscore(rec: Recording) -> Recording:
-    return Recording(
-        subject_id=rec.subject_id,
-        sample_rate_hz=rec.sample_rate_hz,
-        channel_names=list(rec.channel_names),
-        data=zscore_array(rec.data),
-    )

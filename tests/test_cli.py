@@ -1,8 +1,10 @@
 """CLI exit codes, JSON error reporting, config handling, and stage chaining."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,53 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(InvalidFormat):
         load_config(path)
+    cfg = json.loads(tiny_config(tmp_path).read_text())
+    cfg["train"] = 5
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(InvalidFormat, match="'train' must be a JSON object"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "patience", 0),
+        ("train", "lr_decay", 0),
+        ("smote", "k_neighbors", 0),
+        ("psd", "overlap_fraction", 1.5),
+        ("noise", "max_magnitude", 0),
+        ("entropy", "m", 0),
+        ("filter", "kind", "notch"),
+        ("stream", "strategy_policy", "bogus"),
+        ("stream", "hop_samples", 0),
+        ("model", "preset", "nope"),
+    ],
+)
+def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
+    path = tiny_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["synth", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert f"config section {section!r}" in payload["message"]
+    assert re.search(rf"\b{key}\b", payload["message"])
+    assert repr(value) in payload["message"]
+    assert not (tmp_path / "run" / "raw").exists()
+
+
+def test_partial_section_keeps_config_defaults():
+    cfg = config_from_dict({"workdir": "/tmp/wd", "train": {"max_epochs": 5}, "noise": {}})
+    assert (cfg.train.max_epochs, cfg.train.seed) == (5, 606)
+    assert (cfg.noise.seed, cfg.smote.seed) == (202, 303)
+
+
+def test_readme_config_block_matches_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"### Config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(block) == default_config_dict("runs/demo")
 
 
 def test_stage_before_inputs_exist(capsys, tmp_path):
@@ -231,3 +280,25 @@ def test_entropy_reads_only_analysed_windows(capsys, tmp_path):
     code, _, err = run_cli(["entropy", "--config", str(path)], capsys)
     assert code == 0, err
     assert (run_dir / "reports" / "entropy.json").read_bytes() == report
+
+
+def test_augment_noise_draws_differ_across_windows_and_seeds(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    run_dir = tmp_path / "run"
+    manifest = json.loads((run_dir / "windows" / "windows.json").read_text())
+    clean = np.stack([np.fromfile(run_dir / "windows" / r["file"], dtype="<f4")
+                      for r in manifest["windows"]])
+    deltas = []
+    for seed in (202, 203):
+        path = tiny_config(tmp_path, noise={"seed": seed})
+        assert run_cli(["augment", "--config", str(path)], capsys)[0] == 0
+        noisy = np.stack([np.fromfile(run_dir / "windows_noisy" / r["file"], dtype="<f4")
+                          for r in manifest["windows"]])
+        deltas.extend(noisy - clean)
+    # Every (seed, window) pair draws its own noise: no two deltas agree,
+    # including window 1 under seed 202 and window 0 under seed 203.
+    deltas = np.stack(deltas)
+    for i in range(len(deltas) - 1):
+        assert np.abs(deltas[i + 1:] - deltas[i]).max(axis=1).min() > 0.1

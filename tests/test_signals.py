@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from affekt.errors import EdgeOutOfRange, InvalidOrder, ShapeMismatch
+from affekt.errors import EdgeOutOfRange, InvalidOrder
 from affekt.signals import (
     FilterKind,
     FilterSpec,
-    Recording,
     analog_butterworth_gain,
-    apply_filter,
     design_filter,
     filter_array,
     powerline_notch,
-    zscore,
     zscore_array,
 )
 from oracles import (
@@ -159,17 +156,6 @@ def test_filter_array_preserves_shape_and_dtype():
     assert y.dtype == np.float64
 
 
-def test_apply_filter_rejects_sample_rate_mismatch():
-    rec = Recording(
-        subject_id="sub-x",
-        sample_rate_hz=256.0,
-        channel_names=["a", "b"],
-        data=np.zeros((2, 600)),
-    )
-    with pytest.raises(ShapeMismatch):
-        apply_filter(design_filter(powerline_notch(FS)), rec)
-
-
 def test_zscore_array_population_moments():
     rng = np.random.default_rng(11)
     x = 3.0 + 2.5 * rng.standard_normal((3, 4000))
@@ -184,17 +170,3 @@ def test_zscore_constant_channel_maps_to_zeros():
     assert np.all(z[0] == 0.0)
     assert np.abs(z[1].std() - 1.0) < 1e-12
 
-
-def test_zscore_recording_wrapper():
-    rng = np.random.default_rng(5)
-    rec = Recording(
-        subject_id="sub-z",
-        sample_rate_hz=FS,
-        channel_names=["a", "b"],
-        data=10.0 + rng.standard_normal((2, 1000)),
-    )
-    out = zscore(rec)
-    assert out.subject_id == rec.subject_id
-    assert np.abs(out.data.mean(axis=1)).max() < 1e-12
-    # input recording untouched
-    assert rec.data.mean() > 5.0
