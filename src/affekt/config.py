@@ -78,6 +78,10 @@ class WindowSection:
     thresholds: tuple = (4.0, 6.0)
     rating_dimension: str = "arousal"
 
+    def __post_init__(self) -> None:
+        if self.length_samples < 1:
+            raise InvalidFormat(f"window.length_samples must be >= 1, got {self.length_samples}")
+
 
 @dataclass(frozen=True)
 class EntropySection(EntropyParams):
@@ -95,6 +99,10 @@ class SplitSection:
     batch_size: int = 32
     seed: int = 404
     level: str = "window"
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise InvalidFormat(f"split.batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)

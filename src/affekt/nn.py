@@ -9,6 +9,15 @@ exactly the identity.
 
 Everything is float64 numpy. backward() returns analytic gradients of the
 batch-mean cross-entropy; tests hold them to central finite differences.
+
+Inside the network activations are channel-major, (C, B, H, W), so every
+convolution contraction is one 2-D GEMM on the (C*9, B*Ho*Wo) im2col patch
+matrix (Chellapilla, Puri & Simard, 2006): W @ cols forward, dpre @ cols.T for
+the weight gradient, W.T @ dpre for the input gradient. The first block
+computes no input gradient, since nothing reads it. These sums run in a
+different order than the earlier batch-major einsum code, so losses and
+probabilities differ from it in the last bits, and float32 checkpoints can
+differ too.
 """
 
 from __future__ import annotations
@@ -88,27 +97,28 @@ def init_params(cfg: CnnConfig) -> dict[str, np.ndarray]:
 
 
 def _im2col(x: np.ndarray, stride: int):
-    b, c, h, w = x.shape
+    """(C, B, H, W) -> the (C*9, B*Ho*Wo) patch matrix of a 3x3, pad-1 conv."""
+    c, b, h, w = x.shape
     ho = (h + 2 - 3) // stride + 1
     wo = (w + 2 - 3) // stride + 1
-    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    xp = np.zeros((c, b, h + 2, w + 2), dtype=x.dtype)
     xp[:, :, 1:h + 1, 1:w + 1] = x
-    cols = np.empty((b, c, 3, 3, ho, wo), dtype=x.dtype)
+    cols = np.empty((c, 3, 3, b, ho, wo), dtype=x.dtype)
     for u in range(3):
         for v in range(3):
-            cols[:, :, u, v] = xp[:, :, u:u + stride * (ho - 1) + 1:stride,
-                                  v:v + stride * (wo - 1) + 1:stride]
-    return cols.reshape(b, c * 9, ho * wo), ho, wo
+            cols[:, u, v] = xp[:, :, u:u + stride * (ho - 1) + 1:stride,
+                               v:v + stride * (wo - 1) + 1:stride]
+    return cols.reshape(c * 9, b * ho * wo), ho, wo
 
 
 def _col2im(dcols: np.ndarray, x_shape, stride: int, ho: int, wo: int) -> np.ndarray:
-    b, c, h, w = x_shape
-    dxp = np.zeros((b, c, h + 2, w + 2), dtype=dcols.dtype)
-    d6 = dcols.reshape(b, c, 3, 3, ho, wo)
+    c, b, h, w = x_shape
+    dxp = np.zeros((c, b, h + 2, w + 2), dtype=dcols.dtype)
+    d6 = dcols.reshape(c, 3, 3, b, ho, wo)
     for u in range(3):
         for v in range(3):
             dxp[:, :, u:u + stride * (ho - 1) + 1:stride,
-                v:v + stride * (wo - 1) + 1:stride] += d6[:, :, u, v]
+                v:v + stride * (wo - 1) + 1:stride] += d6[:, u, v]
     return dxp[:, :, 1:h + 1, 1:w + 1]
 
 
@@ -127,29 +137,27 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
 
 
 def _as_images(cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
+    """(batch, channels, bins) input -> a one-channel (1, B, H, W) image stack."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != cfg.input_channels or x.shape[2] != cfg.input_bins:
         raise ShapeMismatch(
             f"expected (batch, {cfg.input_channels}, {cfg.input_bins}), got {x.shape}"
         )
-    return x[:, None, :, :]
+    return x[None]
 
 
 def forward_with_cache(params: dict, cfg: CnnConfig, x: np.ndarray):
     a = _as_images(cfg, x)
     cache = []
     for idx, block in enumerate(cfg.blocks):
-        w = params[f"conv{idx}.w"]
-        bias = params[f"conv{idx}.b"]
         cols, ho, wo = _im2col(a, block.stride)
-        wmat = w.reshape(block.out_width, -1)
-        pre = np.einsum("ok,bkp->bop", wmat, cols).reshape(a.shape[0], block.out_width, ho, wo)
-        pre += bias[None, :, None, None]
-        act = np.maximum(pre, 0.0)
-        out = act + a if block.residual else act
-        cache.append((a, cols, pre, ho, wo))
-        a = out
-    pooled = a.mean(axis=(2, 3))
+        wmat = params[f"conv{idx}.w"].reshape(block.out_width, -1)
+        pre = (wmat @ cols).reshape(block.out_width, a.shape[1], ho, wo)
+        pre += params[f"conv{idx}.b"][:, None, None, None]
+        act = np.maximum(pre, 0.0, out=pre)
+        cache.append((a.shape, cols, act))
+        a = act + a if block.residual else act
+    pooled = a.mean(axis=(2, 3)).T
     logits = pooled @ params["dense.w"] + params["dense.b"]
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
@@ -174,23 +182,20 @@ def backward(params: dict, cfg: CnnConfig, x: np.ndarray, onehot: np.ndarray):
     grads["dense.w"] = pooled.T @ dlogits
     grads["dense.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params["dense.w"].T
-    _, _, hh, ww = last.shape
-    da = np.broadcast_to(dpooled[:, :, None, None], last.shape) / (hh * ww)
-    da = np.ascontiguousarray(da)
+    da = np.broadcast_to(dpooled.T[:, :, None, None], last.shape) / (last.shape[2] * last.shape[3])
 
     for idx in range(len(cfg.blocks) - 1, -1, -1):
         block = cfg.blocks[idx]
-        a_in, cols, pre, ho, wo = cache[idx]
-        dact = da
-        dpre = dact * (pre > 0.0)
-        dpre_mat = dpre.reshape(dpre.shape[0], block.out_width, ho * wo)
-        wmat = params[f"conv{idx}.w"].reshape(block.out_width, -1)
-        grads[f"conv{idx}.w"] = np.einsum("bop,bkp->ok", dpre_mat, cols).reshape(
-            params[f"conv{idx}.w"].shape
-        )
-        grads[f"conv{idx}.b"] = dpre.sum(axis=(0, 2, 3))
-        dcols = np.einsum("ok,bop->bkp", wmat, dpre_mat)
-        dx = _col2im(dcols, a_in.shape, block.stride, ho, wo)
+        in_shape, cols, act = cache[idx]
+        w = params[f"conv{idx}.w"]
+        dpre = da * (act > 0.0)
+        dpre_mat = dpre.reshape(block.out_width, -1)
+        grads[f"conv{idx}.w"] = (dpre_mat @ cols.T).reshape(w.shape)
+        grads[f"conv{idx}.b"] = dpre_mat.sum(axis=1)
+        if idx == 0:
+            break  # the input image takes no gradient
+        dcols = w.reshape(block.out_width, -1).T @ dpre_mat
+        dx = _col2im(dcols, in_shape, block.stride, act.shape[2], act.shape[3])
         if block.residual:
             dx += da
         da = dx

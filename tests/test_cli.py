@@ -1,6 +1,7 @@
 """CLI exit codes, JSON error reporting, config handling, and stage chaining."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import affekt
 from affekt.cli import main
 from affekt.config import (
     MODEL_PRESETS,
@@ -100,6 +102,8 @@ def test_unknown_config_key_rejected(tmp_path):
         ("stream", "strategy_policy", "bogus"),
         ("stream", "hop_samples", 0),
         ("model", "preset", "nope"),
+        ("window", "length_samples", 0),
+        ("split", "batch_size", 0),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -302,3 +306,25 @@ def test_augment_noise_draws_differ_across_windows_and_seeds(capsys, tmp_path):
     deltas = np.stack(deltas)
     for i in range(len(deltas) - 1):
         assert np.abs(deltas[i + 1:] - deltas[i]).max(axis=1).min() > 0.1
+
+
+def test_checkpoints_identical_across_blas_thread_counts(tmp_path):
+    path = tiny_config(tmp_path)
+    src = str(Path(affekt.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        for stage in ("synth", "preprocess", "featurize", "train"):
+            result = subprocess.run(
+                [sys.executable, "-m", "affekt.cli", stage,
+                 "--config", str(path), "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, f"{stage}, {threads} BLAS threads: {result.stderr}"
+        checkpoints.append({p.name: p.read_bytes() for p in (out / "model").glob("*.ckpt")})
+    assert sorted(checkpoints[0]) == ["task1_binary.ckpt", "task2_categorical.ckpt"]
+    assert checkpoints[0] == checkpoints[1]

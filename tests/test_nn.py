@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affekt.config import MODEL_PRESETS
 from affekt.errors import NonFiniteActivation, ShapeMismatch
 from affekt.nn import (
     BlockSpec,
@@ -165,3 +166,107 @@ def test_stride_halves_spatial_extent():
     params = init_params(cfg)
     probs = forward(params, cfg, np.random.default_rng(0).standard_normal((5, 8, 8)))
     assert probs.shape == (5, 3)
+
+
+# --- reference: the same network with batch-major (B, C, H, W) activations and
+# einsum contractions, written apart from the package code ---
+
+
+def _im2col_batch_major(x, stride):
+    b, c, h, w = x.shape
+    ho = (h + 2 - 3) // stride + 1
+    wo = (w + 2 - 3) // stride + 1
+    xp = np.zeros((b, c, h + 2, w + 2))
+    xp[:, :, 1:h + 1, 1:w + 1] = x
+    cols = np.empty((b, c, 3, 3, ho, wo))
+    for u in range(3):
+        for v in range(3):
+            cols[:, :, u, v] = xp[:, :, u:u + stride * (ho - 1) + 1:stride,
+                                  v:v + stride * (wo - 1) + 1:stride]
+    return cols.reshape(b, c * 9, ho * wo), ho, wo
+
+
+def _col2im_batch_major(dcols, x_shape, stride, ho, wo):
+    b, c, h, w = x_shape
+    dxp = np.zeros((b, c, h + 2, w + 2))
+    d6 = dcols.reshape(b, c, 3, 3, ho, wo)
+    for u in range(3):
+        for v in range(3):
+            dxp[:, :, u:u + stride * (ho - 1) + 1:stride,
+                v:v + stride * (wo - 1) + 1:stride] += d6[:, :, u, v]
+    return dxp[:, :, 1:h + 1, 1:w + 1]
+
+
+def einsum_backward(params, blocks, x, onehot):
+    """Loss and gradients from batch-major activations and einsum contractions."""
+    a = np.asarray(x, dtype=float)[:, None, :, :]
+    n = a.shape[0]
+    cache = []
+    for idx, (width, stride, residual) in enumerate(blocks):
+        cols, ho, wo = _im2col_batch_major(a, stride)
+        wmat = params[f"conv{idx}.w"].reshape(width, -1)
+        pre = np.einsum("ok,bkp->bop", wmat, cols).reshape(n, width, ho, wo)
+        pre += params[f"conv{idx}.b"][None, :, None, None]
+        act = np.maximum(pre, 0.0)
+        cache.append((a, cols, pre, ho, wo))
+        a = act + a if residual else act
+    pooled = a.mean(axis=(2, 3))
+    probs = softmax(pooled @ params["dense.w"] + params["dense.b"])
+    dlogits = (probs - onehot) / n
+    grads = {"dense.w": pooled.T @ dlogits, "dense.b": dlogits.sum(axis=0)}
+    dpooled = dlogits @ params["dense.w"].T
+    da = np.broadcast_to(dpooled[:, :, None, None], a.shape) / (a.shape[2] * a.shape[3])
+    for idx in range(len(blocks) - 1, -1, -1):
+        width, stride, residual = blocks[idx]
+        a_in, cols, pre, ho, wo = cache[idx]
+        dpre = da * (pre > 0.0)
+        dpre_mat = dpre.reshape(n, width, ho * wo)
+        w = params[f"conv{idx}.w"]
+        grads[f"conv{idx}.w"] = np.einsum("bop,bkp->ok", dpre_mat, cols).reshape(w.shape)
+        grads[f"conv{idx}.b"] = dpre.sum(axis=(0, 2, 3))
+        dcols = np.einsum("ok,bop->bkp", w.reshape(width, -1), dpre_mat)
+        dx = _col2im_batch_major(dcols, a_in.shape, stride, ho, wo)
+        if residual:
+            dx += da
+        da = dx
+    return cross_entropy(probs, onehot), grads
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
+def test_odd_and_even_extents_match_references(preset, batch):
+    # 7 x 10 -> 4 x 5 -> 2 x 3: on an odd extent the last stride-2 window's far tap
+    # reads the zero pad, on an even one it reads the last row or column
+    blocks = [(b["out_width"], b["stride"], b["residual"]) for b in MODEL_PRESETS[preset]]
+    cfg = small_config(blocks, channels=7, bins=10, seed=batch)
+    params = init_params(cfg)
+    # nonzero biases, so the bias gradients and the zero-pad borders both matter
+    for idx in range(len(blocks)):
+        params[f"conv{idx}.b"] = np.random.default_rng(idx).uniform(-0.2, 0.2, blocks[idx][0])
+    rng = np.random.default_rng(30 + batch)
+    xs = rng.standard_normal((batch, 7, 10))
+    ys = np.eye(3)[rng.integers(0, 3, size=batch)]
+
+    probs = forward(params, cfg, xs)
+    for i in range(batch):
+        np.testing.assert_allclose(probs[i], forward_loops(params, blocks, xs[i]), atol=1e-12)
+
+    loss, grads = backward(params, cfg, xs, ys)
+    ref_loss, ref = einsum_backward(params, blocks, xs, ys)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert sorted(grads) == sorted(ref)
+    for name in ref:
+        assert grads[name].shape == ref[name].shape
+        scale = max(np.abs(ref[name]).max(), 1e-8)
+        assert np.abs(grads[name] - ref[name]).max() / scale <= 1e-12, name
+
+    # block 0 computes no input gradient; its own parameters still get exact ones
+    def loss_fn(_):
+        return cross_entropy(forward(params, cfg, xs), ys)
+
+    # the arrays are params' own, so loss_fn sees every perturbation
+    first = {name: params[name] for name in ("conv0.w", "conv0.b")}
+    numeric = finite_difference_gradients(loss_fn, first, h=1e-5)
+    for name in first:
+        rel = np.abs(grads[name] - numeric[name]).max() / np.abs(numeric[name]).max()
+        assert rel < 1e-4, f"{name}: rel err {rel}"
