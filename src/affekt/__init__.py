@@ -13,6 +13,8 @@ from .dataset import (
     EmotionTable,
     LabeledWindow,
     SmoteSpec,
+    SplitSpec,
+    WindowSpec,
     extract_windows,
     label_from_ratings,
     load_recording,
@@ -51,7 +53,7 @@ from .signals import (
     powerline_notch,
 )
 from .stream import STRATEGIES, InterventionEvent, StreamSpec, stream_classify
-from .synth import synth_generate
+from .synth import SynthSpec, synth_generate
 from .training import (
     AdamState,
     TrainConfig,

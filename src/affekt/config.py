@@ -5,27 +5,28 @@ config fully determines every artifact. `--seed N` on the command line
 replaces all stage seeds with N plus fixed offsets; `--out DIR` replaces the
 workdir. Unknown keys are rejected to catch typos early.
 
-A section whose stage has a spec class (noise, entropy, psd, smote, train) is
-an instance of that class, so each section is validated by its stage's own
-rules when the file is loaded: a bad value fails as InvalidFormat naming the
-section before any stage runs.
+A section whose stage has a spec class (synth, window, noise, entropy, psd,
+smote, split, train) is an instance of that class, so each section is
+validated by its stage's own rules when the file is loaded: a bad value fails
+as InvalidFormat naming the section before any stage runs. The filter, model
+and stream sections run their spec's rules on the values they hold.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec
+from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, read_json_object
 from .entropy import EntropyParams, NoiseSpec
-from .errors import AffektError, InvalidFormat, MissingFile
+from .errors import AffektError, InvalidFormat
 from .features import PsdSpec
 from .nn import BlockSpec
-from .signals import FilterKind
+from .signals import FilterKind, FilterSpec
 from .stream import StreamSpec
-from .synth import DEFAULT_CLASS_MIX
+from .synth import SynthSpec
 from .training import TrainConfig
 
 # Named block stacks so differently shaped classifiers can be compared by
@@ -49,16 +50,6 @@ MODEL_PRESETS: dict[str, tuple[dict, ...]] = {
 
 
 @dataclass(frozen=True)
-class SynthSection:
-    n_subjects: int = 4
-    events_per_subject: int = 8
-    channels: int = 8
-    fs_hz: float = 512.0
-    class_mix: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_MIX))
-    seed: int = 101
-
-
-@dataclass(frozen=True)
 class FilterSection:
     """FilterSpec without fs_hz, which comes from the recording."""
 
@@ -70,17 +61,11 @@ class FilterSection:
         kinds = [k.value for k in FilterKind]
         if self.kind not in kinds:
             raise InvalidFormat(f"kind must be one of {kinds}, got {self.kind!r}")
+        # Every rule but the Nyquist bound, which waits for the recording's rate.
+        self.spec(math.inf)
 
-
-@dataclass(frozen=True)
-class WindowSection:
-    length_samples: int = 1500
-    thresholds: tuple = (4.0, 6.0)
-    rating_dimension: str = "arousal"
-
-    def __post_init__(self) -> None:
-        if self.length_samples < 1:
-            raise InvalidFormat(f"window.length_samples must be >= 1, got {self.length_samples}")
+    def spec(self, fs_hz: float) -> FilterSpec:
+        return FilterSpec(self.kind, self.order_n, self.edges_hz, fs_hz)
 
 
 @dataclass(frozen=True)
@@ -91,18 +76,6 @@ class EntropySection(EntropyParams):
         super().__post_init__()
         if self.n_windows < 1:
             raise InvalidFormat(f"entropy.n_windows must be >= 1, got {self.n_windows}")
-
-
-@dataclass(frozen=True)
-class SplitSection:
-    ratios: tuple = (0.70, 0.15, 0.15)
-    batch_size: int = 32
-    seed: int = 404
-    level: str = "window"
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise InvalidFormat(f"split.batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -158,14 +131,14 @@ class PipelineConfig:
     """Sections whose stage has a spec class are instances of it, with config seeds."""
 
     workdir: str
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthSpec = field(default_factory=lambda: SynthSpec(seed=101))
     filter: FilterSection = FilterSection()
-    window: WindowSection = WindowSection()
+    window: WindowSpec = WindowSpec()
     noise: NoiseSpec = NoiseSpec(seed=202)
     entropy: EntropySection = EntropySection()
     psd: PsdSpec = PsdSpec()
     smote: SmoteSpec = SmoteSpec(seed=303)
-    split: SplitSection = SplitSection()
+    split: SplitSpec = SplitSpec(seed=404)
     featurize: FeaturizeSection = FeaturizeSection()
     model: ModelSection = ModelSection()
     train: TrainConfig = TrainConfig(seed=606)
@@ -235,17 +208,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> PipelineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"config file {path} does not exist")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidFormat(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidFormat(f"config file {path} must hold a JSON object")
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(read_json_object(Path(path)))
     if out_override is not None:
         cfg.workdir = str(out_override)
     if seed_override is not None:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ClassTooSmall,
     EmptyClass,
+    InvalidFormat,
     MalformedEvent,
     MissingFile,
     NonFiniteSample,
@@ -37,7 +38,6 @@ log = logging.getLogger(__name__)
 
 RATING_MIN = 1.0
 RATING_MAX = 9.0
-DEFAULT_THRESHOLDS = (4.0, 6.0)
 DEFAULT_WINDOW_LEN = 1500
 EVENT_COLUMNS = ("onset", "duration", "trial_type", "valence", "arousal", "emotion")
 
@@ -105,6 +105,20 @@ def _require(path: Path) -> Path:
     return path
 
 
+def read_json_object(path: Path, missing_hint: str = "") -> dict:
+    """Parse a file holding one JSON object; InvalidFormat names the file if it does not."""
+    if not path.exists():
+        raise MissingFile(f"{path} does not exist{missing_hint}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidFormat(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidFormat(f"{path} must hold a JSON object")
+    return obj
+
+
 def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     """Read one subject directory into a Recording plus its event list."""
     subject_dir = Path(subject_dir)
@@ -112,10 +126,17 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     data_path = _require(subject_dir / "eeg.f32")
     events_path = _require(subject_dir / "events.tsv")
 
-    with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    n_channels = len(sidecar["channel_names"])
-    n_samples = int(sidecar["n_samples"])
+    sidecar = read_json_object(sidecar_path)
+    try:
+        names = list(sidecar["channel_names"])
+        n_samples = int(sidecar["n_samples"])
+        fs_hz = float(sidecar["sample_rate_hz"])
+        subject_id = str(sidecar["subject_id"])
+    except KeyError as exc:
+        raise InvalidFormat(f"{sidecar_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidFormat(f"{sidecar_path}: {exc}") from exc
+    n_channels = len(names)
     raw = np.fromfile(data_path, dtype="<f4")
     if raw.size != n_channels * n_samples:
         raise ShapeMismatch(
@@ -125,15 +146,9 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     if bad.size:
         channel, sample = divmod(int(bad[0]), n_samples)
         raise NonFiniteSample(
-            f"{data_path}: channel {sidecar['channel_names'][channel]!r} sample {sample} "
-            f"is {raw[bad[0]]}"
+            f"{data_path}: channel {names[channel]!r} sample {sample} is {raw[bad[0]]}"
         )
-    rec = Recording(
-        subject_id=sidecar["subject_id"],
-        sample_rate_hz=float(sidecar["sample_rate_hz"]),
-        channel_names=list(sidecar["channel_names"]),
-        data=raw.reshape(n_channels, n_samples).astype(np.float64),
-    )
+    rec = Recording(subject_id, fs_hz, names, raw.reshape(n_channels, n_samples))
     return rec, _load_events(events_path)
 
 
@@ -171,17 +186,37 @@ def _load_events(events_path: Path) -> list[EmotionEvent]:
     return events
 
 
+@dataclass(frozen=True)
+class WindowSpec:
+    """Event windows: their length, and the rating rule behind the binary label."""
+
+    length_samples: int = DEFAULT_WINDOW_LEN
+    thresholds: tuple = (4.0, 6.0)
+    rating_dimension: str = "arousal"
+
+    def __post_init__(self) -> None:
+        length = self.length_samples
+        if not isinstance(length, int) or length < 1:
+            raise InvalidFormat(f"length_samples must be an integer >= 1, got {length!r}")
+        if len(self.thresholds) != 2 or not self.thresholds[0] <= self.thresholds[1]:
+            raise MalformedEvent(
+                f"thresholds must be (low, high) with low <= high, got {self.thresholds}"
+            )
+        if self.rating_dimension not in ("arousal", "valence"):
+            raise MalformedEvent(
+                f"rating_dimension must be arousal or valence, got {self.rating_dimension!r}"
+            )
+
+    def rating(self, event: EmotionEvent) -> float:
+        return event.arousal if self.rating_dimension == "arousal" else event.valence
+
+
 def label_from_ratings(
-    event: EmotionEvent,
-    table: EmotionTable,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-    dimension: str = "arousal",
+    event: EmotionEvent, table: EmotionTable, spec: WindowSpec = WindowSpec()
 ) -> ClassLabel:
     """Binary polarity from one rating dimension plus the categorical id."""
-    if dimension not in ("arousal", "valence"):
-        raise MalformedEvent(f"rating dimension must be arousal or valence, got {dimension!r}")
-    low, high = thresholds
-    rating = event.arousal if dimension == "arousal" else event.valence
+    low, high = spec.thresholds
+    rating = spec.rating(event)
     if rating < low:
         binary: BinaryClass | None = BinaryClass.NEGATIVE
     elif rating > high:
@@ -195,34 +230,30 @@ def extract_windows(
     rec: Recording,
     events: list[EmotionEvent],
     table: EmotionTable,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-    dimension: str = "arousal",
+    spec: WindowSpec = WindowSpec(),
 ) -> list[LabeledWindow]:
     """Fixed-length windows at each event onset; short events are skipped."""
     windows = []
     skipped = 0
     for idx, ev in enumerate(events):
         start = int(round(ev.onset_s * rec.sample_rate_hz))
-        if start + window_len > rec.n_samples:
+        if start + spec.length_samples > rec.n_samples:
             skipped += 1
             continue
-        label = label_from_ratings(ev, table, thresholds, dimension)
-        rating = ev.arousal if dimension == "arousal" else ev.valence
         windows.append(
             LabeledWindow(
                 window_id=f"{rec.subject_id}-e{idx:03d}",
                 subject_id=rec.subject_id,
-                data=rec.data[:, start:start + window_len].copy(),
-                label=label,
+                data=rec.data[:, start:start + spec.length_samples].copy(),
+                label=label_from_ratings(ev, table, spec),
                 emotion=ev.emotion,
-                rating=rating,
+                rating=spec.rating(ev),
             )
         )
     if skipped:
         log.warning(
             "%s: skipped %d of %d events with fewer than %d samples remaining",
-            rec.subject_id, skipped, len(events), window_len,
+            rec.subject_id, skipped, len(events), spec.length_samples,
         )
     return windows
 
@@ -295,9 +326,27 @@ def smote_resample(
 # --- splitting and batching ---
 
 
-DEFAULT_RATIOS = (0.70, 0.15, 0.15)
 DEFAULT_BATCH_SIZE = 32
 SPLIT_NAMES = ("train", "val", "test")
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """Train/val/test ratios, batch size, and whether windows or subjects are split."""
+
+    ratios: tuple = (0.70, 0.15, 0.15)
+    batch_size: int = DEFAULT_BATCH_SIZE
+    seed: int = 0
+    level: str = "window"
+
+    def __post_init__(self) -> None:
+        ratios = self.ratios
+        if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+            raise EmptyClass(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            raise EmptyClass(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if self.level not in ("window", "subject"):
+            raise EmptyClass(f"level must be window or subject, got {self.level!r}")
 
 
 def _allocate(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -311,10 +360,7 @@ def _allocate(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int
 
 
 def split_windows(
-    windows: list[LabeledWindow],
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-    level: str = "window",
+    windows: list[LabeledWindow], spec: SplitSpec = SplitSpec()
 ) -> dict[str, list[LabeledWindow]]:
     """Seeded train/val/test split, stratified by categorical label.
 
@@ -323,14 +369,12 @@ def split_windows(
     """
     if not windows:
         raise EmptyClass("no windows to split")
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
-        raise EmptyClass(f"ratios must be nonnegative and sum to 1, got {ratios}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     out: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
-    if level == "subject":
+    if spec.level == "subject":
         subjects = sorted({w.subject_id for w in windows})
         order = [subjects[i] for i in rng.permutation(len(subjects))]
-        n_train, n_val, _ = _allocate(len(order), ratios)
+        n_train, n_val, _ = _allocate(len(order), spec.ratios)
         assignment = {}
         for pos, subject in enumerate(order):
             assignment[subject] = (
@@ -338,19 +382,17 @@ def split_windows(
             )
         for w in windows:
             out[assignment[w.subject_id]].append(w)
-    elif level == "window":
+    else:
         groups: dict[int, list[LabeledWindow]] = {}
         for w in windows:
             groups.setdefault(w.label.categorical, []).append(w)
         for cls in sorted(groups):
             ws = groups[cls]
             shuffled = [ws[i] for i in rng.permutation(len(ws))]
-            n_train, n_val, _ = _allocate(len(ws), ratios)
+            n_train, n_val, _ = _allocate(len(ws), spec.ratios)
             out["train"].extend(shuffled[:n_train])
             out["val"].extend(shuffled[n_train:n_train + n_val])
             out["test"].extend(shuffled[n_train + n_val:])
-    else:
-        raise EmptyClass(f"split level must be window or subject, got {level!r}")
     # Mix classes within each split so batches are not class-sorted.
     for name in SPLIT_NAMES:
         items = out[name]

@@ -61,6 +61,10 @@ class NonFiniteSample(UsageError):
     """A recording holds NaN or inf; message names the file, channel and sample."""
 
 
+class LayoutMismatch(UsageError):
+    """A subject's sample rate or channel names differ from the first subject's."""
+
+
 class ShapeMismatch(AffektError):
     """Array payload size disagrees with its declared shape."""
 

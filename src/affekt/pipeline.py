@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,10 @@ from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig, paths_for
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
-from .errors import EmptyEvaluationSet, MissingFile, ShapeMismatch
+from .errors import EmptyEvaluationSet, LayoutMismatch, MissingFile, ShapeMismatch
 from .features import psd_feature_values, read_feature_file, write_feature_file
 from .nn import CnnConfig
-from .signals import FilterSpec, design_filter, filter_array, zscore_array
+from .signals import design_filter, filter_array, zscore_array
 from .stream import stream_classify
 from .training import evaluate, train
 
@@ -47,14 +48,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_json(path: Path) -> dict:
-    if not path.exists():
-        raise MissingFile(f"{path} does not exist; run the producing stage first")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _filter_spec(cfg: PipelineConfig, fs_hz: float) -> FilterSpec:
-    return FilterSpec(**asdict(cfg.filter), fs_hz=fs_hz)
+    return ds.read_json_object(path, "; run the producing stage first")
 
 
 # --- synth ---
@@ -64,22 +58,27 @@ def cmd_synth(cfg: PipelineConfig) -> dict:
     from .synth import synth_generate
 
     paths = paths_for(cfg)
-    report = synth_generate(
-        paths.raw,
-        n_subjects=cfg.synth.n_subjects,
-        events_per_subject=cfg.synth.events_per_subject,
-        channels=cfg.synth.channels,
-        fs_hz=cfg.synth.fs_hz,
-        class_mix=cfg.synth.class_mix,
-        seed=cfg.synth.seed,
-        window_len=cfg.window.length_samples,
-    )
+    report = synth_generate(paths.raw, cfg.synth, cfg.window.length_samples)
     report["stage"] = "synth"
     report["out"] = str(paths.raw)
     return report
 
 
 # --- preprocess ---
+
+
+def _check_layout(sidecar: Path, rec, first) -> None:
+    """Every subject must share the first subject's sample rate and channel names."""
+    if rec.sample_rate_hz != first.sample_rate_hz:
+        raise LayoutMismatch(
+            f"{sidecar}: sample_rate_hz {rec.sample_rate_hz} differs from "
+            f"{first.subject_id}'s {first.sample_rate_hz}"
+        )
+    for idx, (name, want) in enumerate(zip_longest(rec.channel_names, first.channel_names)):
+        if name != want:
+            raise LayoutMismatch(
+                f"{sidecar}: channel {idx} is {name!r}, {first.subject_id}'s is {want!r}"
+            )
 
 
 def cmd_preprocess(cfg: PipelineConfig) -> dict:
@@ -93,38 +92,19 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     table = ds.EmotionTable()
     windows: list[ds.LabeledWindow] = []
     n_events = 0
-    fs_hz = None
-    channel_names = None
-    realization = None
+    first = None
     for subject_dir in subject_dirs:
         rec, events = ds.load_recording(subject_dir)
-        if fs_hz is None:
-            fs_hz = rec.sample_rate_hz
-            channel_names = rec.channel_names
-            realization = design_filter(_filter_spec(cfg, fs_hz))
-        elif rec.sample_rate_hz != fs_hz:
-            raise ShapeMismatch(
-                f"{subject_dir}: fs {rec.sample_rate_hz} differs from {fs_hz}"
-            )
+        if first is None:
+            first = rec
+            realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
+        else:
+            _check_layout(subject_dir / "eeg.json", rec, first)
         cleaned = replace(rec, data=zscore_array(filter_array(realization, rec.data)))
-        windows.extend(
-            ds.extract_windows(
-                cleaned,
-                events,
-                table,
-                window_len=cfg.window.length_samples,
-                thresholds=tuple(cfg.window.thresholds),
-                dimension=cfg.window.rating_dimension,
-            )
-        )
+        windows.extend(ds.extract_windows(cleaned, events, table, cfg.window))
         n_events += len(events)
 
-    splits = ds.split_windows(
-        windows,
-        ratios=tuple(cfg.split.ratios),
-        seed=cfg.split.seed,
-        level=cfg.split.level,
-    )
+    splits = ds.split_windows(windows, cfg.split)
     split_of = {w.window_id: name for name, ws in splits.items() for w in ws}
 
     paths.windows.mkdir(parents=True, exist_ok=True)
@@ -145,9 +125,9 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
             }
         )
     manifest = {
-        "sample_rate_hz": fs_hz,
+        "sample_rate_hz": first.sample_rate_hz,
         "window_len": cfg.window.length_samples,
-        "channel_names": channel_names,
+        "channel_names": first.channel_names,
         "rating_dimension": cfg.window.rating_dimension,
         "thresholds": list(cfg.window.thresholds),
         "emotion_table": table.to_dict(),
@@ -519,7 +499,7 @@ def cmd_stream(cfg: PipelineConfig) -> dict:
     cnn_cfg, params, meta = load_checkpoint(ckpt_path)
     subject_dir = paths.raw / cfg.stream.source_subject
     rec, _events = ds.load_recording(subject_dir)
-    realization = design_filter(_filter_spec(cfg, rec.sample_rate_hz))
+    realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
     spec = cfg.stream.spec(cfg.window.length_samples)
     result = stream_classify(
         rec,

@@ -75,13 +75,13 @@ class FilterSpec:
         object.__setattr__(self, "edges_hz", edges)
         want = 1 if kind in (FilterKind.LOWPASS, FilterKind.HIGHPASS) else 2
         if len(edges) != want:
-            raise EdgeOutOfRange(f"{kind.value} takes {want} edge(s), got {len(edges)}")
+            raise EdgeOutOfRange(f"{kind.value} takes {want} edges_hz, got {len(edges)}")
         nyq = self.fs_hz / 2.0
         for e in edges:
             if not (0.0 < e < nyq):
-                raise EdgeOutOfRange(f"edge {e} Hz outside (0, {nyq}) for fs={self.fs_hz}")
+                raise EdgeOutOfRange(f"edges_hz {e} outside (0, {nyq}) for fs={self.fs_hz}")
         if want == 2 and not edges[0] < edges[1]:
-            raise EdgeOutOfRange(f"band edges must increase, got {edges}")
+            raise EdgeOutOfRange(f"edges_hz must increase, got {edges}")
 
 
 @dataclass

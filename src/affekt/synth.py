@@ -8,18 +8,18 @@ recoverable from spectral shape, and positive windows keep mean 15-40 Hz
 power above mean 4-12 Hz power.
 
 Generation is bit-exact for a given (seed, layout): every subject draws from
-its own generator seeded with seed XOR subject index, in a fixed order.
+its own generator, seeded by the subject's child of SeedSequence(seed), in a
+fixed order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DEFAULT_WINDOW_LEN
 from .errors import ShapeMismatch
 
 MUSE_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
@@ -47,6 +47,34 @@ SHELF_RMS = 1.2
 RIDGE_FREQS = (6.0, 10.0)
 RIDGE_AMP = (1.2, 1.8)
 RIDGE_JITTER = 0.15
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Cohort layout and seed; class_mix counts events per subject by emotion."""
+
+    n_subjects: int = 4
+    events_per_subject: int = 8
+    channels: int = 8
+    fs_hz: float = 512.0
+    class_mix: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_MIX))
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for key in ("n_subjects", "events_per_subject", "channels"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < 1:
+                raise ShapeMismatch(f"{key} must be an integer >= 1, got {value!r}")
+        if not self.fs_hz > 0:
+            raise ShapeMismatch(f"fs_hz must be > 0, got {self.fs_hz}")
+        unknown = sorted(set(self.class_mix) - set(EMOTION_TEMPLATES))
+        if unknown:
+            raise ShapeMismatch(f"class_mix has unknown emotion classes {unknown}")
+        if sum(self.class_mix.values()) != self.events_per_subject:
+            raise ShapeMismatch(
+                f"class_mix sums to {sum(self.class_mix.values())}, "
+                f"expected events_per_subject={self.events_per_subject}"
+            )
 
 
 def _pink_noise(rng: np.random.Generator, n_channels: int, n_samples: int) -> np.ndarray:
@@ -89,35 +117,22 @@ def _channel_names(n_channels: int) -> list[str]:
     return [f"ch{idx:03d}" for idx in range(n_channels)]
 
 
-def synth_generate(
-    out_dir,
-    n_subjects: int = 40,
-    events_per_subject: int = 8,
-    channels: int = 128,
-    fs_hz: float = 512.0,
-    class_mix: dict[str, int] | None = None,
-    seed: int = 0,
-    window_len: int = DEFAULT_WINDOW_LEN,
-) -> dict:
-    """Write n_subjects subject directories under out_dir; returns a report."""
-    class_mix = dict(class_mix) if class_mix else dict(DEFAULT_CLASS_MIX)
-    unknown = sorted(set(class_mix) - set(EMOTION_TEMPLATES))
-    if unknown:
-        raise ShapeMismatch(f"unknown synthetic emotion classes {unknown}")
-    if sum(class_mix.values()) != events_per_subject:
-        raise ShapeMismatch(
-            f"class_mix sums to {sum(class_mix.values())}, expected {events_per_subject}"
-        )
+def synth_generate(out_dir, spec: SynthSpec, window_len: int) -> dict:
+    """Write spec.n_subjects subject directories under out_dir; returns a report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    channels, fs_hz = spec.channels, spec.fs_hz
     names = _channel_names(channels)
     slot = window_len + GAP_SAMPLES
-    n_samples = LEAD_SAMPLES + events_per_subject * slot
+    n_samples = LEAD_SAMPLES + spec.events_per_subject * slot
 
-    for subject_idx in range(n_subjects):
+    # SeedSequence children are independent across subjects and across seeds;
+    # arithmetic like seed ^ subject_idx is not (2 ^ 0 == 3 ^ 1).
+    subject_seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_subjects)
+    for subject_idx, subject_seed in enumerate(subject_seeds):
         subject_id = f"sub-{subject_idx + 1:03d}"
-        rng = np.random.default_rng(seed ^ subject_idx)
-        roster = [name for name, count in sorted(class_mix.items()) for _ in range(count)]
+        rng = np.random.default_rng(subject_seed)
+        roster = [name for name, count in sorted(spec.class_mix.items()) for _ in range(count)]
         roster = [roster[i] for i in rng.permutation(len(roster))]
 
         data = _pink_noise(rng, channels, n_samples)
@@ -155,11 +170,4 @@ def synth_generate(
             for onset, duration, trial_type, valence, arousal, emotion in rows:
                 fh.write(f"{onset!r}\t{duration!r}\t{trial_type}\t{valence!r}\t{arousal!r}\t{emotion}\n")
 
-    return {
-        "n_subjects": n_subjects,
-        "events_per_subject": events_per_subject,
-        "channels": channels,
-        "fs_hz": fs_hz,
-        "n_samples_per_subject": n_samples,
-        "class_mix": {k: class_mix[k] for k in sorted(class_mix)},
-    }
+    return {**asdict(spec), "n_samples_per_subject": n_samples}

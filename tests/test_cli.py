@@ -104,6 +104,14 @@ def test_unknown_config_key_rejected(tmp_path):
         ("model", "preset", "nope"),
         ("window", "length_samples", 0),
         ("split", "batch_size", 0),
+        ("split", "level", "bogus"),
+        ("filter", "order_n", 0),
+        ("window", "rating_dimension", "bogus"),
+        ("synth", "n_subjects", 0),
+        ("synth", "channels", 0),
+        ("synth", "fs_hz", 0),
+        ("synth", "n_subjects", 2.5),
+        ("split", "batch_size", 2.5),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -118,6 +126,30 @@ def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, valu
     assert f"config section {section!r}" in payload["message"]
     assert re.search(rf"\b{key}\b", payload["message"])
     assert repr(value) in payload["message"]
+    assert not (tmp_path / "run" / "raw").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("window", "thresholds", [6.0, 4.0]),
+        ("window", "thresholds", [4.0]),
+        ("split", "ratios", [0.5, 0.25]),
+        ("filter", "edges_hz", [52.0, 48.0]),
+        ("synth", "class_mix", {"joy": 3}),
+    ],
+)
+def test_bad_section_collection_rejected_at_load(capsys, tmp_path, section, key, value):
+    path = tiny_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["synth", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert f"config section {section!r}" in payload["message"]
+    assert re.search(rf"\b{key}\b", payload["message"])
     assert not (tmp_path / "run" / "raw").exists()
 
 
@@ -268,6 +300,77 @@ def test_nonfinite_sample_rejected_at_preprocess(capsys, tmp_path):
     assert "sub-002" in payload["message"]
     assert repr(sidecar["channel_names"][2]) in payload["message"]
     assert "sample 777 " in payload["message"]
+
+
+def _rewrite_sidecar(subject: Path, **changes) -> dict:
+    sidecar = json.loads((subject / "eeg.json").read_text())
+    sidecar.update(changes)
+    (subject / "eeg.json").write_text(json.dumps(sidecar))
+    return sidecar
+
+
+@pytest.mark.parametrize("layout", ["missing_channel", "reversed_channels", "sample_rate"])
+def test_mixed_layouts_rejected_at_preprocess(capsys, tmp_path, layout):
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    subject = tmp_path / "run" / "raw" / "sub-002"
+    names = json.loads((subject / "eeg.json").read_text())["channel_names"]
+    if layout == "missing_channel":
+        sidecar = _rewrite_sidecar(subject, channel_names=names[:3])
+        data = np.fromfile(subject / "eeg.f32", dtype="<f4").reshape(4, sidecar["n_samples"])
+        data[:3].tofile(subject / "eeg.f32")
+        expected = f"channel 3 is None, sub-001's is {names[3]!r}"
+    elif layout == "reversed_channels":
+        _rewrite_sidecar(subject, channel_names=names[::-1])
+        expected = f"channel 0 is {names[3]!r}, sub-001's is {names[0]!r}"
+    else:
+        _rewrite_sidecar(subject, sample_rate_hz=256.0)
+        expected = "sample_rate_hz 256.0 differs from sub-001's 512.0"
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "LayoutMismatch"
+    assert str(subject / "eeg.json") in payload["message"]
+    assert expected in payload["message"]
+
+
+@pytest.mark.parametrize("damage", ["missing_key", "unparseable_sidecar", "corrupt_manifest"])
+def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
+    path = tiny_config(tmp_path)
+    run_dir = tmp_path / "run"
+    for stage in ("synth", "preprocess"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    sidecar = run_dir / "raw" / "sub-002" / "eeg.json"
+    if damage == "missing_key":
+        content = json.loads(sidecar.read_text())
+        del content["n_samples"]
+        sidecar.write_text(json.dumps(content))
+        stage, bad_file, expected = "preprocess", sidecar, "missing key 'n_samples'"
+    elif damage == "unparseable_sidecar":
+        sidecar.write_text(sidecar.read_text()[:-10])
+        stage, bad_file, expected = "preprocess", sidecar, "is not valid JSON"
+    else:
+        bad_file = run_dir / "windows" / "windows.json"
+        bad_file.write_text(bad_file.read_text()[:200])
+        stage, expected = "featurize", "is not valid JSON"
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert str(bad_file) in payload["message"]
+    assert expected in payload["message"]
+
+
+def test_synth_subjects_independent_across_seeds(capsys, tmp_path):
+    # --seed N gives synth.seed N + 1; subject streams must not coincide
+    # across neighbouring seeds (under seed ^ index, 2 ^ 0 == 3 ^ 1).
+    path = tiny_config(tmp_path)
+    for seed in ("1", "2"):
+        args = ["synth", "--config", str(path), "--out", str(tmp_path / f"seed{seed}")]
+        assert run_cli(args + ["--seed", seed], capsys)[0] == 0
+    a = (tmp_path / "seed1" / "raw" / "sub-001" / "eeg.f32").read_bytes()
+    b = (tmp_path / "seed2" / "raw" / "sub-002" / "eeg.f32").read_bytes()
+    assert a != b
 
 
 def test_entropy_reads_only_analysed_windows(capsys, tmp_path):

@@ -8,6 +8,8 @@ from affekt.dataset import (
     BinaryClass,
     EmotionTable,
     SmoteSpec,
+    SplitSpec,
+    WindowSpec,
     extract_windows,
     label_from_ratings,
     load_recording,
@@ -107,7 +109,8 @@ def test_label_thresholds():
         )
         for ev in events
     ]
-    labels = [label_from_ratings(ev, table, (4.0, 6.0), "arousal") for ev in evs]
+    spec = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
+    labels = [label_from_ratings(ev, table, spec) for ev in evs]
     assert labels[0].binary == BinaryClass.NEGATIVE
     assert labels[1].binary == BinaryClass.POSITIVE
     assert labels[2].binary is None
@@ -128,8 +131,23 @@ def test_label_dimension_switch():
         arousal=8.0,
         emotion="mixed",
     )
-    assert label_from_ratings(ev, table, (4.0, 6.0), "arousal").binary == BinaryClass.POSITIVE
-    assert label_from_ratings(ev, table, (4.0, 6.0), "valence").binary == BinaryClass.NEGATIVE
+    arousal = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
+    valence = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="valence")
+    assert label_from_ratings(ev, table, arousal).binary == BinaryClass.POSITIVE
+    assert label_from_ratings(ev, table, valence).binary == BinaryClass.NEGATIVE
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"thresholds": (6.0, 4.0)},
+        {"thresholds": (4.0,)},
+        {"rating_dimension": "dominance"},
+    ],
+)
+def test_window_spec_rejects_bad_label_rule(kwargs):
+    with pytest.raises(MalformedEvent, match=next(iter(kwargs))):
+        WindowSpec(**kwargs)
 
 
 def test_emotion_table_ids_and_freeze():
@@ -162,7 +180,7 @@ def test_extract_windows_onset_and_skip(tmp_path, caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        windows = extract_windows(rec, events, table)
+        windows = extract_windows(rec, events, table, WindowSpec())
     assert len(windows) == 1
     start = round(1.0 * fs)
     np.testing.assert_array_equal(windows[0].data, rec.data[:, start : start + 1500])
@@ -246,9 +264,9 @@ def make_fake_windows(n_per_class=20, n_subjects=10):
 
 def test_split_ratios_and_determinism():
     windows = make_fake_windows()
-    a = split_windows(windows, (0.7, 0.15, 0.15), seed=1)
-    b = split_windows(windows, (0.7, 0.15, 0.15), seed=1)
-    c = split_windows(windows, (0.7, 0.15, 0.15), seed=2)
+    a = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=1))
+    b = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=1))
+    c = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=2))
     assert {k: [w.window_id for w in v] for k, v in a.items()} == {
         k: [w.window_id for w in v] for k, v in b.items()
     }
@@ -261,7 +279,7 @@ def test_split_ratios_and_determinism():
 
 def test_split_stratified_per_class():
     windows = make_fake_windows()
-    splits = split_windows(windows, (0.7, 0.15, 0.15), seed=3)
+    splits = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=3))
     for name, expected in (("train", 14), ("val", 3), ("test", 3)):
         counts = {}
         for w in splits[name]:
@@ -271,7 +289,7 @@ def test_split_stratified_per_class():
 
 def test_split_subject_level_keeps_subjects_whole():
     windows = make_fake_windows(n_per_class=20, n_subjects=10)
-    splits = split_windows(windows, (0.7, 0.15, 0.15), seed=4, level="subject")
+    splits = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=4, level="subject"))
     seen = {}
     for name, split in splits.items():
         for w in split:
@@ -279,13 +297,12 @@ def test_split_subject_level_keeps_subjects_whole():
 
 
 def test_split_errors():
-    windows = make_fake_windows()
     with pytest.raises(EmptyClass):
-        split_windows([], (0.7, 0.15, 0.15), seed=0)
+        split_windows([], SplitSpec((0.7, 0.15, 0.15), seed=0))
     with pytest.raises(EmptyClass):
-        split_windows(windows, (0.5, 0.25), seed=0)
+        SplitSpec((0.5, 0.25), seed=0)
     with pytest.raises(EmptyClass):
-        split_windows(windows, (0.7, 0.15, 0.15), seed=0, level="trial")
+        SplitSpec((0.7, 0.15, 0.15), seed=0, level="trial")
 
 
 def test_make_batches_ragged_rule():
