@@ -10,7 +10,6 @@ from .dataset import (
     BinaryClass,
     ClassLabel,
     EmotionEvent,
-    EmotionTable,
     LabeledWindow,
     SmoteSpec,
     SplitSpec,
@@ -48,7 +47,6 @@ from .signals import (
     FilterRealization,
     FilterSpec,
     Recording,
-    analog_butterworth_gain,
     design_filter,
     powerline_notch,
 )

@@ -9,7 +9,9 @@ A section whose stage has a spec class (synth, window, noise, entropy, psd,
 smote, split, train) is an instance of that class, so each section is
 validated by its stage's own rules when the file is loaded: a bad value fails
 as InvalidFormat naming the section before any stage runs. The filter, model
-and stream sections run their spec's rules on the values they hold.
+and stream sections run their spec's rules on the values they hold. First, an
+int, float or str key takes only a value of its default's type (an int for a
+float; never a bool), and every seed must be >= 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, read_json_object
 from .entropy import EntropyParams, NoiseSpec
@@ -91,7 +94,7 @@ class FeaturizeSection:
 
 @dataclass(frozen=True)
 class ModelSection:
-    preset: str | None = "cnn-small"
+    preset: str = "cnn-small"
     blocks: tuple | None = None
     seed: int = 505
 
@@ -148,33 +151,19 @@ class PipelineConfig:
 _SECTIONS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "workdir")
 
 
-@dataclass
-class Paths:
-    root: Path
+class Paths(NamedTuple):
+    """The stage directories under the workdir."""
 
-    @property
-    def raw(self) -> Path:
-        return self.root / "raw"
+    raw: Path
+    windows: Path
+    windows_noisy: Path
+    features: Path
+    model: Path
+    reports: Path
 
-    @property
-    def windows(self) -> Path:
-        return self.root / "windows"
 
-    @property
-    def windows_noisy(self) -> Path:
-        return self.root / "windows_noisy"
-
-    @property
-    def features(self) -> Path:
-        return self.root / "features"
-
-    @property
-    def model(self) -> Path:
-        return self.root / "model"
-
-    @property
-    def reports(self) -> Path:
-        return self.root / "reports"
+# Value types a key accepts, by its default's type; other keys are left to the section's rules.
+_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def _build_section(default, data, where: str):
@@ -186,6 +175,13 @@ def _build_section(default, data, where: str):
         raise InvalidFormat(f"config section {where!r}: unknown keys {unknown}")
     coerced = {}
     for key, value in data.items():
+        accepted = _TYPES.get(type(getattr(default, key)))
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted[0])):
+            raise InvalidFormat(
+                f"config section {where!r}: {key} must be {accepted[1]}, got {value!r}"
+            )
+        if key == "seed" and value < 0:
+            raise InvalidFormat(f"config section {where!r}: seed must be >= 0, got {value!r}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value
@@ -219,11 +215,11 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
 def apply_seed_override(cfg: PipelineConfig, seed: int) -> None:
     """Rewrite every stage seed as seed + fixed offset."""
     for offset, name in enumerate(("synth", "noise", "smote", "split", "model", "train"), 1):
-        setattr(cfg, name, dataclasses.replace(getattr(cfg, name), seed=seed + offset))
+        setattr(cfg, name, _build_section(getattr(cfg, name), {"seed": seed + offset}, name))
 
 
 def paths_for(cfg: PipelineConfig) -> Paths:
-    return Paths(root=Path(cfg.workdir))
+    return Paths(*(Path(cfg.workdir) / name for name in Paths._fields))
 
 
 def default_config_dict(workdir: str = "runs/demo") -> dict:

@@ -6,9 +6,12 @@ raw payload (channel-major little-endian float32), and an events.tsv table
 with onset / duration / trial_type / valence / arousal / emotion columns.
 
 Labels carry two views of the same event: a categorical id from a dataset-wide
-first-seen emotion-name table, and an optional binary polarity derived from a
-rating dimension against (low, high) thresholds. Ratings in the open middle
-band have no binary polarity.
+emotion table (a dict from name to id, ids in first-seen order), and an
+optional binary polarity derived from a rating dimension against (low, high)
+thresholds. Ratings in the open middle band have no binary polarity.
+
+The writers of JSON objects, events tables and float32 payloads live here too,
+beside their readers; eeg.f32 and the window files share one payload format.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -30,7 +34,6 @@ from .errors import (
     MissingFile,
     NonFiniteSample,
     ShapeMismatch,
-    UnknownEmotionName,
 )
 from .signals import Recording
 
@@ -77,28 +80,6 @@ class LabeledWindow:
     rating: float
 
 
-class EmotionTable:
-    """Deterministic emotion-name -> id table, ids in first-seen order."""
-
-    def __init__(self, names: dict[str, int] | None = None, frozen: bool = False):
-        self._ids = dict(names) if names else {}
-        self.frozen = frozen
-
-    def id_for(self, name: str) -> int:
-        if name in self._ids:
-            return self._ids[name]
-        if self.frozen:
-            raise UnknownEmotionName(f"emotion {name!r} not in frozen label table")
-        self._ids[name] = len(self._ids)
-        return self._ids[name]
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 def _require(path: Path) -> Path:
     if not path.exists():
         raise MissingFile(str(path))
@@ -119,6 +100,13 @@ def read_json_object(path: Path, missing_hint: str = "") -> dict:
     return obj
 
 
+def write_json_object(path: Path, obj: dict) -> None:
+    """Write obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     """Read one subject directory into a Recording plus its event list."""
     subject_dir = Path(subject_dir)
@@ -129,27 +117,23 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     sidecar = read_json_object(sidecar_path)
     try:
         names = list(sidecar["channel_names"])
-        n_samples = int(sidecar["n_samples"])
+        n_samples = sidecar["n_samples"]
         fs_hz = float(sidecar["sample_rate_hz"])
         subject_id = str(sidecar["subject_id"])
     except KeyError as exc:
         raise InvalidFormat(f"{sidecar_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidFormat(f"{sidecar_path}: {exc}") from exc
-    n_channels = len(names)
-    raw = np.fromfile(data_path, dtype="<f4")
-    if raw.size != n_channels * n_samples:
-        raise ShapeMismatch(
-            f"{data_path}: {raw.size} floats on disk, sidecar says {n_channels}x{n_samples}"
-        )
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
+        raise InvalidFormat(f"{sidecar_path}: n_samples must be an integer >= 0, got {n_samples!r}")
+    raw = _read_f32(data_path, len(names), n_samples, "sidecar")
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         channel, sample = divmod(int(bad[0]), n_samples)
         raise NonFiniteSample(
-            f"{data_path}: channel {names[channel]!r} sample {sample} is {raw[bad[0]]}"
+            f"{data_path}: channel {names[channel]!r} sample {sample} is {raw[channel, sample]}"
         )
-    rec = Recording(subject_id, fs_hz, names, raw.reshape(n_channels, n_samples))
-    return rec, _load_events(events_path)
+    return Recording(subject_id, fs_hz, names, raw), _load_events(events_path)
 
 
 def _load_events(events_path: Path) -> list[EmotionEvent]:
@@ -172,8 +156,10 @@ def _load_events(events_path: Path) -> list[EmotionEvent]:
                 )
             except (TypeError, ValueError, KeyError, AttributeError) as exc:
                 raise MalformedEvent(f"{events_path} row {row_num}: {exc}") from exc
-            if ev.onset_s < 0 or ev.duration_s < 0:
-                raise MalformedEvent(f"{events_path} row {row_num}: negative onset or duration")
+            if not (0 <= ev.onset_s < math.inf and 0 <= ev.duration_s < math.inf):
+                raise MalformedEvent(
+                    f"{events_path} row {row_num}: onset and duration must be finite and >= 0"
+                )
             for dim, value in (("valence", ev.valence), ("arousal", ev.arousal)):
                 if not (RATING_MIN <= value <= RATING_MAX):
                     raise MalformedEvent(
@@ -184,6 +170,14 @@ def _load_events(events_path: Path) -> list[EmotionEvent]:
                 raise MalformedEvent(f"{events_path} row {row_num}: empty emotion name")
             events.append(ev)
     return events
+
+
+def write_events(path, events: list[EmotionEvent]) -> None:
+    """Write an events table that _load_events reads back as the same events."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+        writer.writerow(EVENT_COLUMNS)
+        writer.writerows(astuple(ev) for ev in events)
 
 
 @dataclass(frozen=True)
@@ -212,9 +206,9 @@ class WindowSpec:
 
 
 def label_from_ratings(
-    event: EmotionEvent, table: EmotionTable, spec: WindowSpec = WindowSpec()
+    event: EmotionEvent, table: dict[str, int], spec: WindowSpec = WindowSpec()
 ) -> ClassLabel:
-    """Binary polarity from one rating dimension plus the categorical id."""
+    """Binary polarity from one rating dimension plus the categorical id (next id if new)."""
     low, high = spec.thresholds
     rating = spec.rating(event)
     if rating < low:
@@ -223,13 +217,13 @@ def label_from_ratings(
         binary = BinaryClass.POSITIVE
     else:
         binary = None
-    return ClassLabel(categorical=table.id_for(event.emotion), binary=binary)
+    return ClassLabel(categorical=table.setdefault(event.emotion, len(table)), binary=binary)
 
 
 def extract_windows(
     rec: Recording,
     events: list[EmotionEvent],
-    table: EmotionTable,
+    table: dict[str, int],
     spec: WindowSpec = WindowSpec(),
 ) -> list[LabeledWindow]:
     """Fixed-length windows at each event onset; short events are skipped."""
@@ -407,17 +401,22 @@ def make_batches(items: list, batch_size: int = DEFAULT_BATCH_SIZE) -> list[list
     return [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
 
 
-# --- raw window payload files ---
+# --- float32 payload files: eeg.f32 recordings and window files ---
 
 
 def write_window_file(path, data: np.ndarray) -> None:
+    """Write a (channels, samples) array as channel-major little-endian float32."""
     np.ascontiguousarray(data, dtype="<f4").tofile(path)
 
 
-def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
-    raw = np.fromfile(_require(Path(path)), dtype="<f4")
-    if raw.size != n_channels * window_len:
+def _read_f32(path, n_channels: int, n_samples: int, shape_from: str) -> np.ndarray:
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size != n_channels * n_samples:
         raise ShapeMismatch(
-            f"{path}: {raw.size} floats on disk, manifest says {n_channels}x{window_len}"
+            f"{path}: {raw.size} floats on disk, {shape_from} says {n_channels}x{n_samples}"
         )
-    return raw.reshape(n_channels, window_len).astype(np.float64)
+    return raw.reshape(n_channels, n_samples)
+
+
+def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
+    return _read_f32(_require(Path(path)), n_channels, window_len, "manifest").astype(np.float64)

@@ -73,10 +73,6 @@ class MalformedEvent(UsageError):
     """An events table row is unparseable; message names the row."""
 
 
-class UnknownEmotionName(AffektError):
-    """Emotion name not present in a frozen label table."""
-
-
 class ClassTooSmall(AffektError):
     """A minority class has too few members for k-neighbor interpolation."""
 

@@ -32,8 +32,9 @@ class PsdSpec:
     max_freq_hz: float = 128.0
 
     def __post_init__(self) -> None:
-        if self.segment_len is not None and self.segment_len < 2:
-            raise WindowTooShort(f"segment_len must be >= 2, got {self.segment_len}")
+        seg = self.segment_len
+        if seg is not None and (isinstance(seg, bool) or not isinstance(seg, int) or seg < 2):
+            raise WindowTooShort(f"segment_len must be an integer >= 2, got {seg!r}")
         if not (0.0 <= self.overlap_fraction < 1.0):
             raise WindowTooShort(f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}")
         if self.max_freq_hz <= 0:

@@ -74,10 +74,6 @@ class CnnConfig:
                 )
             width = block.out_width
 
-    @property
-    def dense_in_width(self) -> int:
-        return self.blocks[-1].out_width if self.blocks else 1
-
 
 def init_params(cfg: CnnConfig) -> dict[str, np.ndarray]:
     """Kaiming-uniform fan-in weights, zero biases, fixed draw order."""

@@ -14,12 +14,14 @@ Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except wall-clock timing fields,
 which are confined to metrics.json's time_per_batch_ms and the separate
 stream_timing.json.
+
+JSON objects and float32 payloads are written by the dataset module, JSONL logs
+by _write_jsonl; the emotion table is a plain dict from name to id.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -37,14 +39,12 @@ from .signals import design_filter, filter_array, zscore_array
 from .stream import stream_classify
 from .training import evaluate, train
 
-log = logging.getLogger(__name__)
 
-
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_jsonl(path: Path, rows) -> None:
+    """One JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path) -> dict:
@@ -89,7 +89,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     if not subject_dirs:
         raise MissingFile(f"{paths.raw} contains no subject directories")
 
-    table = ds.EmotionTable()
+    table: dict[str, int] = {}
     windows: list[ds.LabeledWindow] = []
     n_events = 0
     first = None
@@ -130,12 +130,12 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         "channel_names": first.channel_names,
         "rating_dimension": cfg.window.rating_dimension,
         "thresholds": list(cfg.window.thresholds),
-        "emotion_table": table.to_dict(),
+        "emotion_table": table,
         "skipped_events": n_events - len(windows),
         "windows": records,
         "split_order": {name: [w.window_id for w in ws] for name, ws in splits.items()},
     }
-    _write_json(paths.windows / "windows.json", manifest)
+    ds.write_json_object(paths.windows / "windows.json", manifest)
     class_counts: dict[str, int] = {}
     for r in records:
         class_counts[r["emotion"]] = class_counts.get(r["emotion"], 0) + 1
@@ -178,7 +178,7 @@ def cmd_augment(cfg: PipelineConfig) -> dict:
         ds.write_window_file(paths.windows_noisy / record["file"], noisy)
     manifest = dict(manifest)
     manifest["noise"] = asdict(cfg.noise)
-    _write_json(paths.windows_noisy / "windows.json", manifest)
+    ds.write_json_object(paths.windows_noisy / "windows.json", manifest)
     return {
         "stage": "augment",
         "n_windows": len(manifest["windows"]),
@@ -232,7 +232,7 @@ def cmd_entropy(cfg: PipelineConfig) -> dict:
         },
     }
     paths.reports.mkdir(parents=True, exist_ok=True)
-    _write_json(paths.reports / "entropy.json", report)
+    ds.write_json_object(paths.reports / "entropy.json", report)
     return {
         "stage": "entropy",
         "n_windows": len(records),
@@ -352,7 +352,7 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
         "train_order": train_ids,
         "records": records,
     }
-    _write_json(paths.features / "manifest.json", feature_manifest)
+    ds.write_json_object(paths.features / "manifest.json", feature_manifest)
     return {
         "stage": "featurize",
         "source": source,
@@ -433,21 +433,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
             result.params,
             meta={"task": task, "class_names": class_names, "source": manifest["source"]},
         )
-        with open(paths.model / f"{stem}_log.jsonl", "w", encoding="utf-8") as fh:
-            for rec in result.epoch_log:
-                fh.write(
-                    json.dumps(
-                        {
-                            "epoch": rec.epoch,
-                            "lr": rec.lr,
-                            "train_loss": rec.train_loss,
-                            "val_loss": rec.val_loss,
-                            "val_acc": rec.val_acc,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(paths.model / f"{stem}_log.jsonl", map(asdict, result.epoch_log))
         report[task_key] = {
             "task": task,
             "epochs_run": result.stopped_epoch,
@@ -484,7 +470,7 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
     metrics["time_per_batch_ms"] = float(np.mean(times))
     paths.reports.mkdir(parents=True, exist_ok=True)
-    _write_json(paths.reports / "metrics.json", metrics)
+    ds.write_json_object(paths.reports / "metrics.json", metrics)
     return {"stage": "eval", **metrics, "out": str(paths.reports / "metrics.json")}
 
 
@@ -511,23 +497,21 @@ def cmd_stream(cfg: PipelineConfig) -> dict:
         spec,
     )
     paths.reports.mkdir(parents=True, exist_ok=True)
-    with open(paths.reports / "interventions.jsonl", "w", encoding="utf-8") as fh:
-        for ev in result.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "t_s": ev.timestamp_s,
-                        "window_id": ev.window_index,
-                        "class": ev.detected_class,
-                        "confidence": ev.confidence,
-                        "strategy": ev.strategy,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        paths.reports / "interventions.jsonl",
+        (
+            {
+                "t_s": ev.timestamp_s,
+                "window_id": ev.window_index,
+                "class": ev.detected_class,
+                "confidence": ev.confidence,
+                "strategy": ev.strategy,
+            }
+            for ev in result.events
+        ),
+    )
     budget_ms = spec.hop_samples / rec.sample_rate_hz * 1e3
-    _write_json(
+    ds.write_json_object(
         paths.reports / "stream_timing.json",
         {
             "mean_proc_ms": result.mean_proc_ms,

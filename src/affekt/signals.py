@@ -9,7 +9,6 @@ prototype 1/sqrt(1 + w^(2n)) at pre-warped frequencies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,10 +99,6 @@ class FilterRealization:
         if self.sections.ndim != 2 or self.sections.shape[1] != 6:
             raise ShapeMismatch("sections must be (n_sections, 6)")
 
-    @property
-    def n_sections(self) -> int:
-        return self.sections.shape[0]
-
     def poles(self) -> np.ndarray:
         roots = [np.roots(row[3:]) for row in self.sections]
         return np.concatenate([r for r in roots if r.size]) if roots else np.empty(0)
@@ -111,16 +106,6 @@ class FilterRealization:
     def is_stable(self) -> bool:
         p = self.poles()
         return bool(p.size == 0 or np.all(np.abs(p) < 1.0))
-
-
-def analog_butterworth_gain(order_n: int, w: float) -> float:
-    """Magnitude of the analog lowpass prototype at normalized frequency w.
-
-    Monotone from 1 toward 0; exactly 1/sqrt(2) at w=1.
-    """
-    if not isinstance(order_n, int) or order_n < 1:
-        raise InvalidOrder(f"order_n must be a positive integer, got {order_n!r}")
-    return 1.0 / math.sqrt(1.0 + float(w) ** (2 * order_n))
 
 
 def design_filter(spec: FilterSpec) -> FilterRealization:

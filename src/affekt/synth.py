@@ -9,17 +9,17 @@ power above mean 4-12 Hz power.
 
 Generation is bit-exact for a given (seed, layout): every subject draws from
 its own generator, seeded by the subject's child of SeedSequence(seed), in a
-fixed order.
+fixed order. Files go through the dataset writers that match load_recording's readers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import EmotionEvent, write_events, write_json_object, write_window_file
 from .errors import ShapeMismatch
 
 MUSE_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
@@ -70,6 +70,9 @@ class SynthSpec:
         unknown = sorted(set(self.class_mix) - set(EMOTION_TEMPLATES))
         if unknown:
             raise ShapeMismatch(f"class_mix has unknown emotion classes {unknown}")
+        counts = self.class_mix.values()
+        if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts):
+            raise ShapeMismatch(f"class_mix counts must be integers >= 0, got {self.class_mix}")
         if sum(self.class_mix.values()) != self.events_per_subject:
             raise ShapeMismatch(
                 f"class_mix sums to {sum(self.class_mix.values())}, "
@@ -136,7 +139,7 @@ def synth_generate(out_dir, spec: SynthSpec, window_len: int) -> dict:
         roster = [roster[i] for i in rng.permutation(len(roster))]
 
         data = _pink_noise(rng, channels, n_samples)
-        rows = []
+        events = []
         for ev_idx, emotion in enumerate(roster):
             template = EMOTION_TEMPLATES[emotion]
             arousal = rng.uniform(*template.arousal_range)
@@ -147,27 +150,21 @@ def synth_generate(out_dir, spec: SynthSpec, window_len: int) -> dict:
                 data[:, span] += _band_noise(rng, channels, window_len, fs_hz, SHELF_BAND, SHELF_RMS)
             elif template.band == "low":
                 data[:, span] += _ridges(rng, channels, window_len, fs_hz)
-            rows.append(
-                (start / fs_hz, window_len / fs_hz, "stimulus", valence, arousal, emotion)
-            )
+            onset, duration = start / fs_hz, window_len / fs_hz
+            events.append(EmotionEvent(onset, duration, "stimulus", valence, arousal, emotion))
 
         subject_dir = out_dir / subject_id
         subject_dir.mkdir(parents=True, exist_ok=True)
-        with open(subject_dir / "eeg.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "subject_id": subject_id,
-                    "sample_rate_hz": fs_hz,
-                    "channel_names": names,
-                    "n_samples": n_samples,
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        np.ascontiguousarray(data, dtype="<f4").tofile(subject_dir / "eeg.f32")
-        with open(subject_dir / "events.tsv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("onset\tduration\ttrial_type\tvalence\tarousal\temotion\n")
-            for onset, duration, trial_type, valence, arousal, emotion in rows:
-                fh.write(f"{onset!r}\t{duration!r}\t{trial_type}\t{valence!r}\t{arousal!r}\t{emotion}\n")
+        write_json_object(
+            subject_dir / "eeg.json",
+            {
+                "subject_id": subject_id,
+                "sample_rate_hz": fs_hz,
+                "channel_names": names,
+                "n_samples": n_samples,
+            },
+        )
+        write_window_file(subject_dir / "eeg.f32", data)
+        write_events(subject_dir / "events.tsv", events)
 
     return {**asdict(spec), "n_samples_per_subject": n_samples}

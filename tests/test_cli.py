@@ -112,6 +112,21 @@ def test_unknown_config_key_rejected(tmp_path):
         ("synth", "fs_hz", 0),
         ("synth", "n_subjects", 2.5),
         ("split", "batch_size", 2.5),
+        ("entropy", "n_windows", 1.5),
+        ("entropy", "m", 2.5),
+        ("entropy", "max_scale", 2.5),
+        ("stream", "hop_samples", 2.5),
+        ("stream", "trigger_consecutive", 1.5),
+        ("train", "max_epochs", 2.5),
+        ("train", "patience", 1.5),
+        ("smote", "k_neighbors", 2.5),
+        ("psd", "segment_len", 100.5),
+        ("window", "length_samples", True),
+        ("split", "seed", 1.5),
+        ("noise", "seed", "x"),
+        ("model", "seed", 2.5),
+        ("synth", "seed", -3),
+        ("train", "seed", -1),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -137,6 +152,7 @@ def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, valu
         ("split", "ratios", [0.5, 0.25]),
         ("filter", "edges_hz", [52.0, 48.0]),
         ("synth", "class_mix", {"joy": 3}),
+        ("synth", "class_mix", {"joy": 3.0, "sad": 2, "neutral": 3}),
     ],
 )
 def test_bad_section_collection_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -150,6 +166,16 @@ def test_bad_section_collection_rejected_at_load(capsys, tmp_path, section, key,
     assert payload["error"] == "InvalidFormat"
     assert f"config section {section!r}" in payload["message"]
     assert re.search(rf"\b{key}\b", payload["message"])
+    assert not (tmp_path / "run" / "raw").exists()
+
+
+def test_negative_seed_override_rejected_at_load(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    code, _, err = run_cli(["synth", "--config", str(path), "--seed", "-5"], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert "config section 'synth': seed must be >= 0, got -4" in payload["message"]
     assert not (tmp_path / "run" / "raw").exists()
 
 
@@ -334,7 +360,9 @@ def test_mixed_layouts_rejected_at_preprocess(capsys, tmp_path, layout):
     assert expected in payload["message"]
 
 
-@pytest.mark.parametrize("damage", ["missing_key", "unparseable_sidecar", "corrupt_manifest"])
+@pytest.mark.parametrize(
+    "damage", ["missing_key", "unparseable_sidecar", "corrupt_manifest", "fractional_n_samples"]
+)
 def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
     path = tiny_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -346,6 +374,10 @@ def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
         del content["n_samples"]
         sidecar.write_text(json.dumps(content))
         stage, bad_file, expected = "preprocess", sidecar, "missing key 'n_samples'"
+    elif damage == "fractional_n_samples":
+        content = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**content, "n_samples": content["n_samples"] + 0.7}))
+        stage, bad_file, expected = "preprocess", sidecar, "n_samples must be an integer"
     elif damage == "unparseable_sidecar":
         sidecar.write_text(sidecar.read_text()[:-10])
         stage, bad_file, expected = "preprocess", sidecar, "is not valid JSON"

@@ -1,12 +1,14 @@
 """Recording ingestion, labeling, SMOTE, splitting, and batching tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 from affekt.dataset import (
     BINARY_CLASS_NAMES,
     BinaryClass,
-    EmotionTable,
+    EmotionEvent,
     SmoteSpec,
     SplitSpec,
     WindowSpec,
@@ -17,6 +19,7 @@ from affekt.dataset import (
     read_window_file,
     smote_resample,
     split_windows,
+    write_events,
     write_window_file,
 )
 from affekt.errors import (
@@ -25,7 +28,6 @@ from affekt.errors import (
     MalformedEvent,
     MissingFile,
     ShapeMismatch,
-    UnknownEmotionName,
 )
 from conftest import make_events, write_subject
 from oracles import is_convex_combination
@@ -68,6 +70,9 @@ def test_load_recording_payload_size_check(tmp_path):
         lambda lines: lines[1].replace("7.5", "12.0"),  # rating out of range
         lambda lines: lines[1].replace("0.5", "-0.5", 1),  # negative onset
         lambda lines: "\t".join(lines[1].split("\t")[:-1]),  # missing column
+        lambda lines: lines[1].replace("0.5", "inf", 1),  # infinite onset
+        lambda lines: lines[1].replace("0.5", "nan", 1),  # undefined onset
+        lambda lines: lines[1].replace("2.93", "nan", 1),  # undefined duration
     ],
 )
 def test_malformed_event_rows(tmp_path, mutate):
@@ -81,12 +86,23 @@ def test_malformed_event_rows(tmp_path, mutate):
     lines = (sdir / "events.tsv").read_text().splitlines()
     lines[1] = mutate(lines)
     (sdir / "events.tsv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedEvent):
+    with pytest.raises(MalformedEvent, match=re.escape(f"{sdir / 'events.tsv'} row 2")):
         load_recording(sdir)
 
 
+def test_written_events_load_back_exactly(tmp_path):
+    sdir = tmp_path / "sub-007"
+    write_subject(sdir, np.zeros((2, 100)), 512.0, [])
+    events = [
+        EmotionEvent(0.1 + 0.2, 1500 / 512.0, "stimulus", 7.123456789012345, 1 + 2 / 3, "joy"),
+        EmotionEvent(1e-7, 2.93, "rest", 1.0, 9.0, "sad"),
+    ]
+    write_events(sdir / "events.tsv", events)
+    assert load_recording(sdir)[1] == events
+
+
 def test_label_thresholds():
-    table = EmotionTable()
+    table = {}
     events = make_events(
         [
             (0.0, 5.0, 3.0, "calm"),
@@ -96,8 +112,6 @@ def test_label_thresholds():
             (0.0, 5.0, 6.0, "edge-high"),
         ]
     )
-    from affekt.dataset import EmotionEvent
-
     evs = [
         EmotionEvent(
             onset_s=ev["onset"],
@@ -120,9 +134,7 @@ def test_label_thresholds():
 
 
 def test_label_dimension_switch():
-    from affekt.dataset import EmotionEvent
-
-    table = EmotionTable()
+    table = {}
     ev = EmotionEvent(
         onset_s=0.0,
         duration_s=1.0,
@@ -150,15 +162,14 @@ def test_window_spec_rejects_bad_label_rule(kwargs):
         WindowSpec(**kwargs)
 
 
-def test_emotion_table_ids_and_freeze():
-    table = EmotionTable()
-    assert table.id_for("joy") == 0
-    assert table.id_for("sad") == 1
-    assert table.id_for("joy") == 0
-    frozen = EmotionTable(names={"joy": 0, "sad": 1}, frozen=True)
-    assert frozen.id_for("sad") == 1
-    with pytest.raises(UnknownEmotionName):
-        frozen.id_for("anger")
+def test_emotion_table_ids_first_seen():
+    table = {}
+    ids = [
+        label_from_ratings(EmotionEvent(0.0, 1.0, "stimulus", 5.0, 5.0, name), table).categorical
+        for name in ("joy", "sad", "joy", "neutral", "sad")
+    ]
+    assert ids == [0, 1, 0, 2, 1]
+    assert table == {"joy": 0, "sad": 1, "neutral": 2}
 
 
 def test_extract_windows_onset_and_skip(tmp_path, caplog):
@@ -176,7 +187,7 @@ def test_extract_windows_onset_and_skip(tmp_path, caplog):
         ),
     )
     rec, events = load_recording(sdir)
-    table = EmotionTable()
+    table = {}
     import logging
 
     with caplog.at_level(logging.WARNING):
