@@ -11,7 +11,8 @@ validated by its stage's own rules when the file is loaded: a bad value fails
 as InvalidFormat naming the section before any stage runs. The filter, model
 and stream sections run their spec's rules on the values they hold. First, an
 int, float or str key takes only a value of its default's type (an int for a
-float; never a bool), and every seed must be >= 0.
+float; never a bool), every seed must be >= 0, and no number may be NaN or
+infinite (json.load accepts both).
 """
 
 from __future__ import annotations
@@ -166,6 +167,15 @@ class Paths(NamedTuple):
 _TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
+def _finite(value) -> bool:
+    """False if value is, or a list or object in it holds, a NaN or infinite float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or all(_finite(v) for v in value)
+
+
 def _build_section(default, data, where: str):
     """The default section with data's keys replaced, validated by the section's own rules."""
     if not isinstance(data, dict):
@@ -182,6 +192,8 @@ def _build_section(default, data, where: str):
             )
         if key == "seed" and value < 0:
             raise InvalidFormat(f"config section {where!r}: seed must be >= 0, got {value!r}")
+        if not _finite(value):
+            raise InvalidFormat(f"config section {where!r}: {key} must be finite, got {value!r}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value

@@ -18,6 +18,20 @@ computes no input gradient, since nothing reads it. These sums run in a
 different order than the earlier batch-major einsum code, so losses and
 probabilities differ from it in the last bits, and float32 checkpoints can
 differ too.
+
+forward() and backward() run that code over consecutive micro-batches of the
+batch and add up the parameter gradients; the loss is computed once from the
+joined probabilities, and dlogits is divided by the whole batch's size. A
+micro-batch holds as many samples as keep the largest im2col matrix within
+_MICRO_BATCH_BYTES. On a 128 x 128 input a whole batch of 20 builds a 12 MB
+patch matrix and a gradient of the same size: they stream from memory instead
+of staying in L2, and each call page-faults them in anew. Three samples at a
+time, the same work stays in L2. Whether the micro-batches also stop page
+faults depends on glibc's malloc: once the process has freed a block of about
+6 MB or more, each micro-batch reuses the memory of the one before; until
+then, each gives its memory back to the system and faults it in again. A
+network whose whole batch fits is not split, and its results are bit for bit
+those of one pass.
 """
 
 from __future__ import annotations
@@ -30,6 +44,9 @@ import numpy as np
 from .errors import NonFiniteActivation, NonFiniteGradient, ShapeMismatch
 
 PROB_FLOOR = 1e-12
+# Largest im2col matrix one micro-batch may build: about half of a 4 MiB L2,
+# leaving the other half for its gradient, the padded input and the weights.
+_MICRO_BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -142,8 +159,23 @@ def _as_images(cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
     return x[None]
 
 
-def forward_with_cache(params: dict, cfg: CnnConfig, x: np.ndarray):
-    a = _as_images(cfg, x)
+def _micro_batches(cfg: CnnConfig, n: int) -> list[slice]:
+    """Consecutive sample slices whose largest im2col matrix fits the budget.
+
+    An empty batch is one empty slice, so it still yields a (0, classes) result.
+    """
+    h, w, width, largest = cfg.input_channels, cfg.input_bins, 1, 1
+    for block in cfg.blocks:
+        h = (h - 1) // block.stride + 1
+        w = (w - 1) // block.stride + 1
+        largest = max(largest, width * 9 * h * w * 8)  # float64 bytes
+        width = block.out_width
+    k = max(1, _MICRO_BATCH_BYTES // largest)
+    return [slice(lo, lo + k) for lo in range(0, max(n, 1), k)]
+
+
+def _forward_images(params: dict, cfg: CnnConfig, a: np.ndarray):
+    """Probabilities of a (1, B, H, W) image stack, and what backprop needs."""
     cache = []
     for idx, block in enumerate(cfg.blocks):
         cols, ho, wo = _im2col(a, block.stride)
@@ -163,15 +195,15 @@ def forward_with_cache(params: dict, cfg: CnnConfig, x: np.ndarray):
 
 def forward(params: dict, cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per sample."""
-    probs, _ = forward_with_cache(params, cfg, x)
-    return probs
+    a = _as_images(cfg, x)
+    return np.concatenate(
+        [_forward_images(params, cfg, a[:, part])[0] for part in _micro_batches(cfg, a.shape[1])]
+    )
 
 
-def backward(params: dict, cfg: CnnConfig, x: np.ndarray, onehot: np.ndarray):
-    """Loss and exact gradients of batch-mean cross-entropy for every tensor."""
-    probs, (cache, last, pooled) = forward_with_cache(params, cfg, x)
-    n = x.shape[0]
-    loss = cross_entropy(probs, onehot)
+def _backprop(params: dict, cfg: CnnConfig, a: np.ndarray, onehot: np.ndarray, n: int):
+    """Probabilities of one micro-batch and its share of the gradients of a batch of n."""
+    probs, (cache, last, pooled) = _forward_images(params, cfg, a)
     grads: dict[str, np.ndarray] = {}
 
     dlogits = (probs - onehot) / n
@@ -195,6 +227,26 @@ def backward(params: dict, cfg: CnnConfig, x: np.ndarray, onehot: np.ndarray):
         if block.residual:
             dx += da
         da = dx
+    return probs, grads
+
+
+def backward(params: dict, cfg: CnnConfig, x: np.ndarray, onehot: np.ndarray):
+    """Loss and exact gradients of batch-mean cross-entropy for every tensor."""
+    a = _as_images(cfg, x)
+    n = a.shape[1]
+    if onehot.shape != (n, cfg.n_classes):
+        raise ShapeMismatch(f"targets {onehot.shape}, expected {(n, cfg.n_classes)}")
+    probs = []
+    grads: dict[str, np.ndarray] = {}
+    for part in _micro_batches(cfg, n):
+        part_probs, part_grads = _backprop(params, cfg, a[:, part], onehot[part], n)
+        probs.append(part_probs)
+        if grads:
+            for name, g in part_grads.items():
+                grads[name] += g
+        else:
+            grads = part_grads
+    loss = cross_entropy(np.concatenate(probs), onehot)
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

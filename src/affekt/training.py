@@ -35,6 +35,15 @@ class TrainConfig:
             raise ShapeMismatch(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.patience < 1:
             raise ShapeMismatch(f"patience must be >= 1, got {self.patience}")
+        # written so that NaN fails too: a step with lr0 <= 0 climbs the loss,
+        # and beta = 1 zeroes Adam's bias correction
+        if not self.lr0 > 0.0:
+            raise ShapeMismatch(f"lr0 must be > 0, got {self.lr0!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ShapeMismatch(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0.0:
+            raise ShapeMismatch(f"eps must be > 0, got {self.eps!r}")
 
 
 def lr_at(t: int, lr0: float = 1e-3, decay: float = 0.99) -> float:

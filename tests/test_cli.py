@@ -127,6 +127,16 @@ def test_unknown_config_key_rejected(tmp_path):
         ("model", "seed", 2.5),
         ("synth", "seed", -3),
         ("train", "seed", -1),
+        # json.load parses NaN and Infinity; each used to fail late or not at all
+        ("synth", "fs_hz", float("inf")),
+        ("psd", "max_freq_hz", float("nan")),
+        ("entropy", "r_factor", float("nan")),
+        ("noise", "max_magnitude", float("inf")),
+        ("train", "lr0", 0),
+        ("train", "lr0", -1.0),
+        ("train", "beta1", 1.0),
+        ("train", "beta2", -0.5),
+        ("train", "eps", 0),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -153,6 +163,9 @@ def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, valu
         ("filter", "edges_hz", [52.0, 48.0]),
         ("synth", "class_mix", {"joy": 3}),
         ("synth", "class_mix", {"joy": 3.0, "sad": 2, "neutral": 3}),
+        # a non-finite number inside a list is caught too
+        ("split", "ratios", [0.7, 0.15, float("nan")]),
+        ("window", "thresholds", [4.0, float("inf")]),
     ],
 )
 def test_bad_section_collection_rejected_at_load(capsys, tmp_path, section, key, value):

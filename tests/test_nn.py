@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from affekt import nn
 from affekt.config import MODEL_PRESETS
 from affekt.errors import NonFiniteActivation, ShapeMismatch
 from affekt.nn import (
     BlockSpec,
     CnnConfig,
+    _micro_batches,
     backward,
     cross_entropy,
     forward,
@@ -150,6 +152,17 @@ def test_forward_rejects_wrong_shape():
         forward(params, cfg, np.zeros((2, 4, 9)))
 
 
+@pytest.mark.parametrize("targets", [(6, 1), (5, 3), (6, 4)])
+def test_backward_rejects_wrong_target_shape(targets, monkeypatch):
+    # refused before any micro-batch runs: an (n, 1) one-hot would otherwise
+    # broadcast into dlogits, and the mismatch would show only after all the work
+    cfg = small_config([(4, 2, False)])
+    params = init_params(cfg)
+    monkeypatch.setattr(nn, "_backprop", None)
+    with pytest.raises(ShapeMismatch, match="targets"):
+        backward(params, cfg, np.zeros((6, 4, 8)), np.zeros(targets))
+
+
 def test_non_finite_activation_guard():
     cfg = small_config([(4, 2, False)])
     params = init_params(cfg)
@@ -270,3 +283,25 @@ def test_odd_and_even_extents_match_references(preset, batch):
     for name in first:
         rel = np.abs(grads[name] - numeric[name]).max() / np.abs(numeric[name]).max()
         assert rel < 1e-4, f"{name}: rel err {rel}"
+
+
+def test_micro_batched_backward_matches_one_pass():
+    # cnn-small on 128 x 128 holds 3 samples per micro-batch: 7 splits as 3 + 3 + 1
+    blocks = [(b["out_width"], b["stride"], b["residual"]) for b in MODEL_PRESETS["cnn-small"]]
+    cfg = small_config(blocks, channels=128, bins=128, seed=4)
+    assert [(p.start, p.stop) for p in _micro_batches(cfg, 7)] == [(0, 3), (3, 6), (6, 9)]
+    params = init_params(cfg)
+    for idx in range(len(blocks)):
+        params[f"conv{idx}.b"] = np.random.default_rng(idx).uniform(-0.2, 0.2, blocks[idx][0])
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((7, 128, 128))
+    ys = np.eye(3)[rng.integers(0, 3, size=7)]
+
+    loss, grads = backward(params, cfg, xs, ys)
+    assert loss == cross_entropy(forward(params, cfg, xs), ys)
+    ref_loss, ref = einsum_backward(params, blocks, xs, ys)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert sorted(grads) == sorted(ref)
+    for name in ref:
+        scale = max(np.abs(ref[name]).max(), 1e-8)
+        assert np.abs(grads[name] - ref[name]).max() / scale <= 1e-12, name

@@ -224,6 +224,11 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ShapeMismatch):
         TrainConfig(max_epochs=0)
+    for field, value in [
+        ("lr0", 0.0), ("lr0", float("nan")), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", 0.0)
+    ]:
+        with pytest.raises(ShapeMismatch, match=field):
+            TrainConfig(**{field: value})
 
 
 def test_adam_state_shapes_follow_params():
