@@ -6,14 +6,27 @@ segments, density scaling so the spectrum integrates to the signal variance),
 bins kept for 0 < f <= max_freq_hz, log-compressed, then standardized over
 the whole matrix. With a 1-second segment at fs=512 and the default 128 Hz
 threshold the canonical 128-channel montage yields a 128x128 matrix.
+
+`welch_psd` gives the same bits as `scipy.signal.welch` with these settings
+but skips its per-call set-up. The scaled window and the frequency grid come
+from a `ShortTimeFFT` built once per (fs, segment, hop), the way
+`scipy.signal.csd` builds it. Segments are cut as strided views, mean-removed
+and windowed in one pass, and transformed by one batched `rfft`. The
+periodogram is laid out (..., freq, segment) and made contiguous before the
+segment mean, as scipy's is: numpy sums 8 or more values pairwise along a
+contiguous axis but in order along a strided one, so any other layout would
+change the last bits once a window has 8 or more segments.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as spfft
 from scipy import signal as sps
 
 from .errors import InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
@@ -44,6 +57,15 @@ class PsdSpec:
         return self.segment_len if self.segment_len is not None else int(round(fs_hz))
 
 
+@lru_cache(maxsize=16)
+def _stft(fs_hz: float, seg: int, hop: int) -> sps.ShortTimeFFT:
+    """Density-scaled Hann STFT of one Welch configuration, built as sps.csd builds it."""
+    return sps.ShortTimeFFT(
+        sps.get_window("hann", seg), hop, fs_hz,
+        fft_mode="onesided", mfft=seg, scale_to="psd", phase_shift=None,
+    )
+
+
 def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch density estimate along the last axis.
 
@@ -55,16 +77,15 @@ def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, n
     seg = spec.resolve_segment_len(fs_hz)
     if x.shape[-1] < seg:
         raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
-    return sps.welch(
-        x,
-        fs=fs_hz,
-        window="hann",
-        nperseg=seg,
-        noverlap=int(round(seg * spec.overlap_fraction)),
-        detrend="constant",
-        scaling="density",
-        axis=-1,
-    )
+    stft = _stft(float(fs_hz), seg, seg - int(round(seg * spec.overlap_fraction)))
+    segs = sliding_window_view(x, seg, axis=-1)[..., ::stft.hop, :]
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    segs *= stft.win
+    spectra = np.swapaxes(spfft.rfft(segs, axis=-1), -1, -2)
+    power = np.square(spectra.real, order="C")  # contiguous (..., freq, segment)
+    power += np.square(spectra.imag)
+    power[..., 1:-1 if seg % 2 == 0 else None, :] *= 2
+    return stft.f.copy(), power.mean(axis=-1)
 
 
 def psd_feature_values(
@@ -83,9 +104,9 @@ def psd_feature_values(
         )
     freqs, psd = welch_psd(data, fs_hz, spec)
     keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
-    # welch returns a strided view, and mean/std sum a strided array in a
-    # different order than a contiguous one; the copy keeps the matrices
-    # bit-identical to a per-channel welch loop.
+    # Boolean indexing along axis 1 returns a column-major copy, and mean/std
+    # sum it in a different order than a row-major one; the copy keeps the
+    # matrices bit-identical to a per-channel welch loop.
     logp = np.log(np.ascontiguousarray(psd[:, keep]) + LOG_FLOOR)
     mu = logp.mean()
     sigma = logp.std()

@@ -5,6 +5,13 @@ around the mains frequency, then a per-channel standard score. Filters are
 designed with the bilinear transform (frequency pre-warped) and realized as
 cascaded second-order sections, so the digital magnitude matches the analog
 prototype 1/sqrt(1 + w^(2n)) at pre-warped frequencies.
+
+Zero-phase application does what `scipy.signal.sosfiltfilt` does, in the
+same order and so to the same bits, but without its per-call set-up: a
+FilterRealization computes its edge padding and its steady-state section
+state (`sosfilt_zi`) once, when it is designed, and `filter_array` then only
+extends, filters forward and backward, and trims. The stream filters one
+short window per hop, where that set-up cost as much as the filtering.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy import signal as sps
 
-from .errors import EdgeOutOfRange, InvalidOrder, ShapeMismatch
+from .errors import EdgeOutOfRange, InvalidOrder, RecordingTooShort, ShapeMismatch
 
 SIGMA_FLOOR = 1e-12
 
@@ -83,21 +90,33 @@ class FilterSpec:
             raise EdgeOutOfRange(f"edges_hz must increase, got {edges}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterRealization:
     """Cascaded biquads produced by design_filter.
 
+    padlen and zi are computed once from the sections. padlen is the length
+    of sosfiltfilt's odd extension, 3 * ntaps, where ntaps is
+    2 * n_sections + 1 less the smaller count of zero b2 and zero a2
+    coefficients (one fewer for the first-order section of an odd-order
+    design). zi holds each section's steady-state delays for a unit step.
     Application is stateless: every call runs its own forward-backward pass,
     so realizations are safe to share across channels and windows.
     """
 
     spec: FilterSpec
     sections: np.ndarray = field(repr=False)
+    padlen: int = field(init=False)
+    zi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.sections = np.asarray(self.sections, dtype=np.float64)
-        if self.sections.ndim != 2 or self.sections.shape[1] != 6:
+        sections = np.asarray(self.sections, dtype=np.float64)
+        if sections.ndim != 2 or sections.shape[1] != 6:
             raise ShapeMismatch("sections must be (n_sections, 6)")
+        ntaps = 2 * len(sections) + 1
+        ntaps -= min(int((sections[:, 2] == 0).sum()), int((sections[:, 5] == 0).sum()))
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "padlen", 3 * ntaps)
+        object.__setattr__(self, "zi", sps.sosfilt_zi(sections))
 
     def poles(self) -> np.ndarray:
         roots = [np.roots(row[3:]) for row in self.sections]
@@ -137,8 +156,31 @@ def powerline_notch(
 
 
 def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
-    """Zero-phase (forward-backward) filtering along the last axis."""
-    return sps.sosfiltfilt(real.sections, np.asarray(data, dtype=np.float64), axis=-1)
+    """Zero-phase (forward-backward) filtering along the last axis.
+
+    Bit-identical to `sps.sosfiltfilt(real.sections, data, axis=-1)`: odd
+    extension by padlen at both ends, a forward pass started from zi times
+    the first sample, a backward pass started from zi times the last forward
+    output, then the extension trimmed off.
+    """
+    x = np.asarray(data, dtype=np.float64)
+    n, edge = x.shape[-1], real.padlen
+    if n <= edge:
+        raise RecordingTooShort(
+            f"filtering needs more than padlen={edge} samples, got {n}"
+        )
+    ext = np.concatenate(
+        (
+            2 * x[..., :1] - x[..., edge:0:-1],
+            x,
+            2 * x[..., -1:] - x[..., -2:-edge - 2:-1],
+        ),
+        axis=-1,
+    )
+    zi = real.zi.reshape((len(real.sections),) + (1,) * (x.ndim - 1) + (2,))
+    y, _ = sps.sosfilt(real.sections, ext, zi=zi * ext[..., :1])
+    y, _ = sps.sosfilt(real.sections, y[..., ::-1], zi=zi * y[..., -1:])
+    return y[..., ::-1][..., edge:-edge]
 
 
 def zscore_array(data: np.ndarray) -> np.ndarray:
@@ -148,8 +190,10 @@ def zscore_array(data: np.ndarray) -> np.ndarray:
     dividing by ~0.
     """
     data = np.asarray(data, dtype=np.float64)
-    mu = data.mean(axis=-1, keepdims=True)
     sigma = data.std(axis=-1, keepdims=True)
-    centered = data - mu
-    out = np.where(sigma < SIGMA_FLOOR, 0.0, centered / np.where(sigma < SIGMA_FLOOR, 1.0, sigma))
+    flat = sigma < SIGMA_FLOOR
+    sigma[flat] = 1.0
+    out = data - data.mean(axis=-1, keepdims=True)
+    out /= sigma
+    np.copyto(out, 0.0, where=flat)
     return out

@@ -96,6 +96,11 @@ def stream_classify(
         raise RecordingTooShort(
             f"recording has {rec.n_samples} samples, window needs {spec.window_len}"
         )
+    if spec.window_len <= filt.padlen:
+        raise RecordingTooShort(
+            f"window of {spec.window_len} samples is too short to filter: "
+            f"it must be longer than the filter's padlen={filt.padlen}"
+        )
     if rec.n_channels != cnn_cfg.input_channels:
         raise ShapeMismatch(
             f"recording has {rec.n_channels} channels, model expects {cnn_cfg.input_channels}"

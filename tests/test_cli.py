@@ -341,6 +341,24 @@ def test_nonfinite_sample_rejected_at_preprocess(capsys, tmp_path):
     assert "sample 777 " in payload["message"]
 
 
+def test_stream_window_shorter_than_filter_padding_is_usage_error(capsys, tmp_path):
+    # the order-4 notch pads 27 samples on each side; a 20-sample window
+    # trains fine but cannot be filtered on its own
+    path = tiny_config(
+        tmp_path, window={"length_samples": 20}, psd={"segment_len": 8}
+    )
+    for stage in ("synth", "preprocess", "featurize", "train"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    code, _, err = run_cli(["stream", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "RecordingTooShort"
+    assert "20 samples" in payload["message"]
+    assert "padlen=27" in payload["message"]
+    assert not (tmp_path / "run" / "reports" / "stream_timing.json").exists()
+
+
 def _rewrite_sidecar(subject: Path, **changes) -> dict:
     sidecar = json.loads((subject / "eeg.json").read_text())
     sidecar.update(changes)

@@ -89,6 +89,43 @@ def test_feature_values_equal_per_channel_welch(n_channels, spec):
     assert np.array_equal(values, (logp - logp.mean()) / logp.std())
 
 
+@pytest.mark.parametrize(
+    "segment_len,overlap",
+    [
+        (512, 0.5),  # the default one-second segment: 4 segments in 1500 samples
+        (100, 0.5),  # 29 segments, so the segment mean sums pairwise
+        (101, 0.0),  # odd length: no unpaired Nyquist bin; no overlap, 14 segments
+        (64, 0.25),  # 30 segments at a hop that is not half a segment
+    ],
+)
+def test_welch_psd_equals_scipy_welch(segment_len, overlap):
+    spec = PsdSpec(segment_len=segment_len, overlap_fraction=overlap)
+    rng = np.random.default_rng(segment_len)
+    wide = rng.standard_normal((4, 1900))
+    inputs = {
+        "1d": rng.standard_normal(1500),
+        "2d": rng.standard_normal((6, 1500)),
+        "3d": rng.standard_normal((2, 3, 1500)),
+        "slice": wide[:, 250:1750],
+        "reversed": wide[:, 1750:250:-1],  # the layout filter_array returns
+    }
+    for name, x in inputs.items():
+        freqs, psd = sps.welch(
+            x,
+            fs=FS,
+            window="hann",
+            nperseg=segment_len,
+            noverlap=int(round(segment_len * overlap)),
+            detrend="constant",
+            scaling="density",
+            axis=-1,
+        )
+        got_freqs, got = welch_psd(x, FS, spec)
+        assert np.array_equal(got_freqs, freqs), name
+        assert got.shape == psd.shape, name
+        assert np.array_equal(got, psd), name
+
+
 def test_feature_matrix_shape_and_bins():
     rng = np.random.default_rng(12)
     data = rng.standard_normal((4, 1500))

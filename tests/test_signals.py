@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
-from affekt.errors import EdgeOutOfRange, InvalidOrder
+from affekt.errors import EdgeOutOfRange, InvalidOrder, RecordingTooShort
 from affekt.signals import (
+    SIGMA_FLOOR,
     FilterKind,
     FilterSpec,
     design_filter,
@@ -171,3 +173,66 @@ def test_zscore_constant_channel_maps_to_zeros():
     assert np.all(z[0] == 0.0)
     assert np.abs(z[1].std() - 1.0) < 1e-12
 
+
+
+def _shaped_inputs(rng, n):
+    """1-D, 2-D, 3-D and a non-contiguous column slice, as the stream cuts windows."""
+    wide = rng.standard_normal((4, n + 300))
+    return {
+        "1d": rng.standard_normal(n),
+        "2d": rng.standard_normal((5, n)),
+        "3d": rng.standard_normal((2, 3, n)),
+        "slice": wide[:, 123:123 + n],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,order_n,edges",
+    [
+        (FilterKind.BANDSTOP, 4, (48.0, 52.0)),
+        (FilterKind.BANDPASS, 2, (8.0, 13.0)),
+        (FilterKind.HIGHPASS, 4, (1.0,)),
+        (FilterKind.LOWPASS, 3, (40.0,)),
+        (FilterKind.LOWPASS, 5, (100.0,)),
+    ],
+)
+def test_filter_array_equals_sosfiltfilt(kind, order_n, edges):
+    realization = design_filter(FilterSpec(kind, order_n, edges, FS))
+    rng = np.random.default_rng(order_n)
+    for name, x in _shaped_inputs(rng, 750).items():
+        expected = sps.sosfiltfilt(realization.sections, x, axis=-1)
+        assert np.array_equal(filter_array(realization, x), expected), name
+    # the shortest input sosfiltfilt accepts
+    x = rng.standard_normal((2, realization.padlen + 1))
+    assert np.array_equal(
+        filter_array(realization, x), sps.sosfiltfilt(realization.sections, x, axis=-1)
+    )
+
+
+def test_odd_order_padlen_discounts_zero_coefficients():
+    # order 3 ends in a first-order section, b2 = a2 = 0: one tap fewer
+    odd = design_filter(FilterSpec(FilterKind.LOWPASS, 3, (40.0,), FS))
+    assert odd.sections.shape[0] == 2
+    assert odd.padlen == 3 * (2 * 2 + 1 - 1)
+    assert design_filter(powerline_notch(FS)).padlen == 3 * (2 * 4 + 1)
+
+
+def test_filter_array_rejects_input_not_longer_than_padlen():
+    realization = design_filter(powerline_notch(FS))
+    assert realization.padlen == 27
+    with pytest.raises(RecordingTooShort, match=r"padlen=27.* got 27"):
+        filter_array(realization, np.zeros((3, 27)))
+
+
+def test_zscore_equals_two_where_formula_with_flat_rows():
+    rng = np.random.default_rng(21)
+    x = 3.0 + 2.5 * rng.standard_normal((6, 500))
+    x[1] = 7.0
+    x[4] = 1e-3 + 1e-15 * rng.standard_normal(500)  # sigma below the floor, not exactly 0
+    for data in (x, x[None, :, :], x[2], x[1]):
+        mu = data.mean(axis=-1, keepdims=True)
+        sigma = data.std(axis=-1, keepdims=True)
+        flat = sigma < SIGMA_FLOOR
+        expected = np.where(flat, 0.0, (data - mu) / np.where(flat, 1.0, sigma))
+        assert np.array_equal(zscore_array(data), expected)
+    assert np.all(zscore_array(x)[[1, 4]] == 0.0)
