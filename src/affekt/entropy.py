@@ -94,12 +94,6 @@ def sample_entropy_abs(series, m: int, r: float) -> float | None:
     return -math.log(a / b)
 
 
-def sample_entropy(series, params: EntropyParams = EntropyParams()) -> float | None:
-    """Sample entropy with r = r_factor * population sigma of the series."""
-    x = np.asarray(series, dtype=np.float64).ravel()
-    return sample_entropy_abs(x, params.m, params.r_factor * float(x.std()))
-
-
 def coarse_grain(series, tau: int) -> np.ndarray:
     """Means of consecutive non-overlapping blocks of tau samples.
 
@@ -180,16 +174,8 @@ class ChannelShift:
     profile_noisy: EntropyProfile
 
     @property
-    def ci_clean(self) -> float:
-        return self.profile_clean.complexity_index
-
-    @property
-    def ci_noisy(self) -> float:
-        return self.profile_noisy.complexity_index
-
-    @property
     def delta(self) -> float:
-        return self.ci_noisy - self.ci_clean
+        return self.profile_noisy.complexity_index - self.profile_clean.complexity_index
 
 
 def complexity_shift_report(

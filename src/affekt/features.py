@@ -52,9 +52,21 @@ class PsdSpec:
             raise WindowTooShort(f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}")
         if self.max_freq_hz <= 0:
             raise NyquistExceeded(f"max_freq_hz must be positive, got {self.max_freq_hz}")
+        if seg is not None:
+            self.hop(seg)
 
     def resolve_segment_len(self, fs_hz: float) -> int:
         return self.segment_len if self.segment_len is not None else int(round(fs_hz))
+
+    def hop(self, seg: int) -> int:
+        """Samples between the starts of consecutive segments; WindowTooShort below 1."""
+        hop = seg - int(round(seg * self.overlap_fraction))
+        if hop < 1:
+            raise WindowTooShort(
+                f"overlap_fraction {self.overlap_fraction} of a {seg}-sample segment "
+                f"(segment_len {self.segment_len}) leaves a hop of {hop} samples, need >= 1"
+            )
+        return hop
 
 
 @lru_cache(maxsize=16)
@@ -77,7 +89,7 @@ def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, n
     seg = spec.resolve_segment_len(fs_hz)
     if x.shape[-1] < seg:
         raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
-    stft = _stft(float(fs_hz), seg, seg - int(round(seg * spec.overlap_fraction)))
+    stft = _stft(float(fs_hz), seg, spec.hop(seg))
     segs = sliding_window_view(x, seg, axis=-1)[..., ::stft.hop, :]
     segs = segs - segs.mean(axis=-1, keepdims=True)
     segs *= stft.win

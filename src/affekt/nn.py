@@ -14,10 +14,7 @@ Inside the network activations are channel-major, (C, B, H, W), so every
 convolution contraction is one 2-D GEMM on the (C*9, B*Ho*Wo) im2col patch
 matrix (Chellapilla, Puri & Simard, 2006): W @ cols forward, dpre @ cols.T for
 the weight gradient, W.T @ dpre for the input gradient. The first block
-computes no input gradient, since nothing reads it. These sums run in a
-different order than the earlier batch-major einsum code, so losses and
-probabilities differ from it in the last bits, and float32 checkpoints can
-differ too.
+computes no input gradient, since nothing reads it.
 
 forward() and backward() run that code over consecutive micro-batches of the
 batch and add up the parameter gradients; the loss is computed once from the

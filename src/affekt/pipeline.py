@@ -32,11 +32,18 @@ from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig, paths_for
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
-from .errors import EmptyEvaluationSet, LayoutMismatch, MissingFile, ShapeMismatch
+from .errors import (
+    EmptyEvaluationSet,
+    LayoutMismatch,
+    MissingFile,
+    RecordingTooShort,
+    ShapeMismatch,
+)
 from .features import psd_feature_values, read_feature_file, write_feature_file
 from .nn import CnnConfig
 from .signals import design_filter, filter_array, zscore_array
 from .stream import stream_classify
+from .synth import synth_generate
 from .training import evaluate, train
 
 
@@ -55,8 +62,6 @@ def _read_json(path: Path) -> dict:
 
 
 def cmd_synth(cfg: PipelineConfig) -> dict:
-    from .synth import synth_generate
-
     paths = paths_for(cfg)
     report = synth_generate(paths.raw, cfg.synth, cfg.window.length_samples)
     report["stage"] = "synth"
@@ -100,7 +105,11 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
             realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
         else:
             _check_layout(subject_dir / "eeg.json", rec, first)
-        cleaned = replace(rec, data=zscore_array(filter_array(realization, rec.data)))
+        try:
+            filtered = filter_array(realization, rec.data)
+        except RecordingTooShort as exc:
+            raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
+        cleaned = replace(rec, data=zscore_array(filtered))
         windows.extend(ds.extract_windows(cleaned, events, table, cfg.window))
         n_events += len(events)
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .dataset import DEFAULT_WINDOW_LEN
+from .dataset import DEFAULT_WINDOW_LEN, BinaryClass
 from .errors import RecordingTooShort, ShapeMismatch
 from .features import PsdSpec, psd_feature_values
 from .nn import CnnConfig, forward
 from .signals import FilterRealization, Recording, filter_array, zscore_array
 
 STRATEGIES = ("calming_stimuli", "breathing_exercise", "positive_affirmation")
-NEGATIVE_NAME = "negative"
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def stream_classify(
                 proc_ms=proc_ms,
             )
         )
-        if name == NEGATIVE_NAME:
+        if name == BinaryClass.NEGATIVE.value:
             run += 1
             if run == spec.trigger_consecutive:
                 events.append(

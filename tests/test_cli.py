@@ -182,6 +182,19 @@ def test_bad_section_collection_rejected_at_load(capsys, tmp_path, section, key,
     assert not (tmp_path / "run" / "raw").exists()
 
 
+def test_psd_hop_of_zero_samples_rejected_at_load(capsys, tmp_path):
+    # 0.9 of a 2-sample segment rounds to 2 samples of overlap
+    path = tiny_config(tmp_path, psd={"segment_len": 2, "overlap_fraction": 0.9})
+    code, _, err = run_cli(["synth", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert "config section 'psd'" in payload["message"]
+    assert "segment_len 2" in payload["message"]
+    assert "overlap_fraction 0.9" in payload["message"]
+    assert not (tmp_path / "run" / "raw").exists()
+
+
 def test_negative_seed_override_rejected_at_load(capsys, tmp_path):
     path = tiny_config(tmp_path)
     code, _, err = run_cli(["synth", "--config", str(path), "--seed", "-5"], capsys)
@@ -265,6 +278,20 @@ def test_help_exits_zero():
     )
     assert result.returncode == 0
     assert "--config" in result.stdout
+
+
+def test_leaf_module_imports_alone():
+    src = str(Path(affekt.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, affekt.errors; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('affekt', 'scipy')))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['affekt', 'affekt.errors']"
 
 
 def test_default_config_round_trips():
@@ -364,6 +391,22 @@ def _rewrite_sidecar(subject: Path, **changes) -> dict:
     sidecar.update(changes)
     (subject / "eeg.json").write_text(json.dumps(sidecar))
     return sidecar
+
+
+def test_subject_too_short_to_filter_named_at_preprocess(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    subject = tmp_path / "run" / "raw" / "sub-003"
+    n_samples = json.loads((subject / "eeg.json").read_text())["n_samples"]
+    data = np.fromfile(subject / "eeg.f32", dtype="<f4").reshape(-1, n_samples)
+    _rewrite_sidecar(subject, n_samples=20)
+    np.ascontiguousarray(data[:, :20]).tofile(subject / "eeg.f32")
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "RecordingTooShort"
+    assert str(subject) in payload["message"]
+    assert "padlen=27 samples, got 20" in payload["message"]
 
 
 @pytest.mark.parametrize("layout", ["missing_channel", "reversed_channels", "sample_rate"])

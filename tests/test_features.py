@@ -62,6 +62,12 @@ def test_window_too_short():
         psd_feature_values(np.zeros((128, 100)), FS, PsdSpec(segment_len=512))
 
 
+def test_hop_of_zero_samples_is_window_too_short():
+    # the one-second segment is 512 samples, and 0.9995 of it rounds to all 512
+    with pytest.raises(WindowTooShort, match=r"overlap_fraction 0\.9995 of a 512-sample segment"):
+        welch_psd(np.zeros((2, 1500)), FS, PsdSpec(overlap_fraction=0.9995))
+
+
 @pytest.mark.parametrize(
     "spec", [PsdSpec(), PsdSpec(segment_len=200, overlap_fraction=0.25, max_freq_hz=90.0)]
 )
