@@ -15,8 +15,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import InvalidFormat
-from .nn import CnnConfig
+from .errors import InvalidFormat, ShapeMismatch
+from .nn import CnnConfig, init_params
 
 CHECKPOINT_MAGIC = b"EEGM"
 CHECKPOINT_VERSION = 1
@@ -51,7 +51,11 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
-    """Returns (config, params as float64, meta dict)."""
+    """Returns (config, params as float64, meta dict).
+
+    A header that is not a valid config, and tensors whose names or shapes
+    differ from the ones that config's network has, are InvalidFormat.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -59,7 +63,13 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
         version, blob_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise InvalidFormat(f"{path}: unsupported version {version}")
-        header = json.loads(_read_exact(fh, blob_len, path, "config").decode("utf-8"))
+        blob = _read_exact(fh, blob_len, path, "config")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            meta = header.pop("meta", {})
+            cfg = CnnConfig(**header)
+        except (ValueError, TypeError, AttributeError, ShapeMismatch) as exc:
+            raise InvalidFormat(f"{path}: bad config header: {exc}") from None
         params: dict[str, np.ndarray] = {}
         while True:
             lead = fh.read(4)
@@ -78,5 +88,15 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
             payload = _read_exact(fh, 4 * count, path, f"payload of {name}")
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-    meta = header.pop("meta", {})
-    return CnnConfig(**header), params, meta
+    expected = {name: p.shape for name, p in init_params(cfg).items()}
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise InvalidFormat(f"{path}: tensor {name} is missing")
+        if name not in expected:
+            raise InvalidFormat(f"{path}: tensor {name} is not part of the model")
+        if params[name].shape != expected[name]:
+            raise InvalidFormat(
+                f"{path}: tensor {name} has shape {params[name].shape}, "
+                f"the model needs {expected[name]}"
+            )
+    return cfg, params, meta

@@ -20,14 +20,20 @@ forward() and backward() run that code over consecutive micro-batches of the
 batch and add up the parameter gradients; the loss is computed once from the
 joined probabilities, and dlogits is divided by the whole batch's size. A
 micro-batch holds as many samples as keep the largest im2col matrix within
-_MICRO_BATCH_BYTES. On a 128 x 128 input a whole batch of 20 builds a 12 MB
-patch matrix and a gradient of the same size: they stream from memory instead
-of staying in cache, and each call page-faults them in anew. Three samples at
-a time, the patch matrix is 1.7 MiB, close to the 2 MiB per-core L2 of the
-Xeon the budget was measured on. Whether the micro-batches also stop page
-faults depends on glibc's malloc: once the process has freed a block of about
-6 MB or more, each micro-batch reuses the memory of the one before; until
-then, each gives its memory back to the system and faults it in again. A
+_MICRO_BATCH_BYTES: three at a time on a 128 x 128 input, a 1.7 MiB patch
+matrix, close to the 2 MiB per-core L2 of the Xeon the budget was measured on.
+
+The buffers live in a Workspace, one set per conv block: the patch matrix,
+the conv output (which the ReLU mask later turns into dpre), the residual
+sum, the patch-matrix gradient and col2im's scatter index. training.train
+makes one per run and stream_classify one per run; a call without one makes
+its own. Reused buffers keep glibc's malloc from giving each micro-batch's
+memory back to the system and faulting it in again, which cost a fresh CLI
+train process ~12.5 M minor faults and ~20 s of system time. The bits are
+those of a padded-copy im2col and a nine-tap += col2im: each tap copies its
+in-image rectangle and the padding entries stay the zeros they were made
+with, the GEMMs write through column slices of the same shapes, and col2im's
+one bincount adds each pixel's taps in the same (u, v) order from 0.0. A
 network whose whole batch fits is not split, and its results are bit for bit
 those of one pass.
 """
@@ -110,32 +116,6 @@ def init_params(cfg: CnnConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _im2col(x: np.ndarray, stride: int):
-    """(C, B, H, W) -> the (C*9, B*Ho*Wo) patch matrix of a 3x3, pad-1 conv."""
-    c, b, h, w = x.shape
-    ho = (h + 2 - 3) // stride + 1
-    wo = (w + 2 - 3) // stride + 1
-    xp = np.zeros((c, b, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:h + 1, 1:w + 1] = x
-    cols = np.empty((c, 3, 3, b, ho, wo), dtype=x.dtype)
-    for u in range(3):
-        for v in range(3):
-            cols[:, u, v] = xp[:, :, u:u + stride * (ho - 1) + 1:stride,
-                               v:v + stride * (wo - 1) + 1:stride]
-    return cols.reshape(c * 9, b * ho * wo), ho, wo
-
-
-def _col2im(dcols: np.ndarray, x_shape, stride: int, ho: int, wo: int) -> np.ndarray:
-    c, b, h, w = x_shape
-    dxp = np.zeros((c, b, h + 2, w + 2), dtype=dcols.dtype)
-    d6 = dcols.reshape(c, 3, 3, b, ho, wo)
-    for u in range(3):
-        for v in range(3):
-            dxp[:, :, u:u + stride * (ho - 1) + 1:stride,
-                v:v + stride * (wo - 1) + 1:stride] += d6[:, u, v]
-    return dxp[:, :, 1:h + 1, 1:w + 1]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -160,32 +140,140 @@ def _as_images(cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
     return x[None]
 
 
-def _micro_batches(cfg: CnnConfig, n: int) -> list[slice]:
-    """Consecutive sample slices whose largest im2col matrix fits the budget.
+def _tap_slices(n: int, n_out: int, stride: int) -> list[tuple[slice, slice]]:
+    """For each tap offset u, the outputs o whose input stride*o + u - 1 lies
+    in [0, n), and those inputs."""
+    taps = []
+    for u in range(3):
+        lo, hi = (1 if u == 0 else 0), min(n_out, (n - u) // stride + 1)
+        taps.append((slice(lo, hi), slice(stride * lo + u - 1, stride * (hi - 1) + u, stride)))
+    return taps
 
-    An empty batch is one empty slice, so it still yields a (0, classes) result.
+
+class _Conv:
+    """One conv block's buffers, for micro-batches of up to `samples` samples.
+
+    A micro-batch of b samples uses the first b of each buffer: the GEMMs
+    write through column slices, so a shorter last micro-batch needs no
+    buffers of its own.
     """
-    h, w, width, largest = cfg.input_channels, cfg.input_bins, 1, 1
-    for block in cfg.blocks:
-        h = (h - 1) // block.stride + 1
-        w = (w - 1) // block.stride + 1
-        largest = max(largest, width * 9 * h * w * 8)  # float64 bytes
-        width = block.out_width
-    k = max(1, _MICRO_BATCH_BYTES // largest)
-    return [slice(lo, lo + k) for lo in range(0, max(n, 1), k)]
+
+    def __init__(self, block: BlockSpec, c: int, h: int, w: int, samples: int, first: bool):
+        s = block.stride
+        self.in_shape = (c, h, w)
+        self.ho, self.wo = (h - 1) // s + 1, (w - 1) // s + 1
+        # (patch-matrix index, input index) of each tap's in-image rectangle;
+        # outside it a tap reads the zero padding
+        self.taps = [
+            ((slice(None), u, v, slice(None), out_rows, out_cols),
+             (slice(None), slice(None), in_rows, in_cols))
+            for u, (out_rows, in_rows) in enumerate(_tap_slices(h, self.ho, s))
+            for v, (out_cols, in_cols) in enumerate(_tap_slices(w, self.wo, s))
+        ]
+        n_cols = samples * self.ho * self.wo
+        # zeroed once: im2col writes only the in-image rectangles, so the
+        # padding taps stay 0
+        self.cols = np.zeros((c, 3, 3, samples, self.ho, self.wo))
+        self.out = np.empty((block.out_width, n_cols))
+        self.skip = (np.empty((block.out_width, samples, self.ho, self.wo))
+                     if block.residual else None)
+        self.dcols = None if first else np.empty((c * 9, n_cols))
+        self.col2im_index: dict[int, np.ndarray] = {}
+
+    def im2col(self, a: np.ndarray) -> np.ndarray:
+        """(C, b, H, W) -> the (C*9, b*Ho*Wo) patch matrix of a 3x3, pad-1 conv."""
+        c, b = a.shape[:2]
+        cols = self.cols[:, :, :, :b]
+        for dst, src in self.taps:
+            cols[dst] = a[src]
+        return cols.reshape(c * 9, -1)
+
+    def col2im(self, dcols: np.ndarray, b: int) -> np.ndarray:
+        """Sum the patch-matrix gradient back onto a (C, b, H, W) input.
+
+        One bincount over dcols in its own order: each pixel adds its taps in
+        (u, v) order starting from 0.0, as a loop of nine shifted += would.
+        Entries that fall on the padding go to one spare slot past the end.
+        """
+        c, h, w = self.in_shape
+        pixels = c * b * h * w
+        index = self.col2im_index.get(b)
+        if index is None:
+            index = np.full((c, 3, 3, b, self.ho, self.wo), pixels, dtype=np.intp)
+            image = np.arange(pixels).reshape(c, b, h, w)
+            for dst, src in self.taps:
+                index[dst] = image[src]
+            index = self.col2im_index[b] = index.ravel()
+        dx = np.bincount(index, weights=dcols.ravel(), minlength=pixels + 1)
+        # with no weights at all (an empty micro-batch) bincount counts in integers
+        return dx[:pixels].reshape(c, b, h, w).astype(np.float64, copy=False)
 
 
-def _forward_images(params: dict, cfg: CnnConfig, a: np.ndarray):
-    """Probabilities of a (1, B, H, W) image stack, and what backprop needs."""
+class Workspace:
+    """Buffers that forward() and backward() reuse across calls on one network.
+
+    The workspace owns the micro-batch rule: a micro-batch holds as many
+    samples as keep the largest im2col matrix within _MICRO_BATCH_BYTES. Its
+    buffers are made on first use, for the largest micro-batch seen so far,
+    and stay for the workspace's life. Arrays that forward() and backward()
+    return never point into them. One call at a time: two threads must not
+    share a workspace.
+    """
+
+    def __init__(self, cfg: CnnConfig) -> None:
+        self.cfg = cfg
+        h, w, width, largest = cfg.input_channels, cfg.input_bins, 1, 1
+        for block in cfg.blocks:
+            h = (h - 1) // block.stride + 1
+            w = (w - 1) // block.stride + 1
+            largest = max(largest, width * 9 * h * w * 8)  # float64 bytes
+            width = block.out_width
+        self.micro_batch = max(1, _MICRO_BATCH_BYTES // largest)
+        self._samples = 0
+        self._convs: list[_Conv] | None = None
+
+    def micro_batches(self, n: int) -> list[slice]:
+        """Consecutive sample slices of a batch of n.
+
+        An empty batch is one empty slice, so it still yields a (0, classes) result.
+        """
+        k = self.micro_batch
+        return [slice(lo, lo + k) for lo in range(0, max(n, 1), k)]
+
+    def convs(self, b: int) -> list[_Conv]:
+        """Each block's buffers, made anew only when b samples do not fit."""
+        if self._convs is None or b > self._samples:
+            self._convs = []
+            c, h, w = 1, self.cfg.input_channels, self.cfg.input_bins
+            for idx, block in enumerate(self.cfg.blocks):
+                conv = _Conv(block, c, h, w, b, idx == 0)
+                self._convs.append(conv)
+                c, h, w = block.out_width, conv.ho, conv.wo
+            self._samples = b
+        return self._convs
+
+
+def _workspace(cfg: CnnConfig, workspace: Workspace | None) -> Workspace:
+    if workspace is None:
+        return Workspace(cfg)
+    if workspace.cfg != cfg:
+        raise ShapeMismatch("workspace was made for another network config")
+    return workspace
+
+
+def _forward_images(params: dict, cfg: CnnConfig, a: np.ndarray, ws: Workspace):
+    """Probabilities of a (1, b, H, W) micro-batch, and what backprop needs."""
+    b = a.shape[1]
     cache = []
-    for idx, block in enumerate(cfg.blocks):
-        cols, ho, wo = _im2col(a, block.stride)
+    for idx, (block, conv) in enumerate(zip(cfg.blocks, ws.convs(b))):
+        cols = conv.im2col(a)
         wmat = params[f"conv{idx}.w"].reshape(block.out_width, -1)
-        pre = (wmat @ cols).reshape(block.out_width, a.shape[1], ho, wo)
-        pre += params[f"conv{idx}.b"][:, None, None, None]
-        act = np.maximum(pre, 0.0, out=pre)
-        cache.append((a.shape, cols, act))
-        a = act + a if block.residual else act
+        pre = np.matmul(wmat, cols, out=conv.out[:, :cols.shape[1]])
+        act = pre.reshape(block.out_width, b, conv.ho, conv.wo)
+        act += params[f"conv{idx}.b"][:, None, None, None]
+        np.maximum(act, 0.0, out=act)
+        cache.append((conv, cols, act))
+        a = np.add(act, a, out=conv.skip[:, :b]) if block.residual else act
     pooled = a.mean(axis=(2, 3)).T
     logits = pooled @ params["dense.w"] + params["dense.b"]
     probs = softmax(logits)
@@ -194,53 +282,70 @@ def _forward_images(params: dict, cfg: CnnConfig, a: np.ndarray):
     return probs, (cache, a, pooled)
 
 
-def forward(params: dict, cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
+def forward(
+    params: dict, cfg: CnnConfig, x: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """Class probabilities, one row per sample."""
     a = _as_images(cfg, x)
+    ws = _workspace(cfg, workspace)
     return np.concatenate(
-        [_forward_images(params, cfg, a[:, part])[0] for part in _micro_batches(cfg, a.shape[1])]
+        [_forward_images(params, cfg, a[:, part], ws)[0] for part in ws.micro_batches(a.shape[1])]
     )
 
 
-def _backprop(params: dict, cfg: CnnConfig, a: np.ndarray, onehot: np.ndarray, n: int):
+def _backprop(
+    params: dict, cfg: CnnConfig, a: np.ndarray, onehot: np.ndarray, n: int, ws: Workspace
+):
     """Probabilities of one micro-batch and its share of the gradients of a batch of n."""
-    probs, (cache, last, pooled) = _forward_images(params, cfg, a)
+    probs, (cache, last, pooled) = _forward_images(params, cfg, a, ws)
     grads: dict[str, np.ndarray] = {}
 
     dlogits = (probs - onehot) / n
     grads["dense.w"] = pooled.T @ dlogits
     grads["dense.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ params["dense.w"].T
-    da = np.broadcast_to(dpooled.T[:, :, None, None], last.shape) / (last.shape[2] * last.shape[3])
+    # the pool gives every pixel of a channel the same gradient, so keep it
+    # (C, b, 1, 1) and let the ReLU mask broadcast it
+    da = dpooled.T[:, :, None, None] / (last.shape[2] * last.shape[3])
 
     for idx in range(len(cfg.blocks) - 1, -1, -1):
         block = cfg.blocks[idx]
-        in_shape, cols, act = cache[idx]
+        conv, cols, act = cache[idx]
         w = params[f"conv{idx}.w"]
-        dpre = da * (act > 0.0)
-        dpre_mat = dpre.reshape(block.out_width, -1)
+        # the ReLU mask turns the activation's buffer into dpre; da stays
+        # whole for a residual block's skip path
+        dpre_mat = np.multiply(da, act > 0.0, out=act).reshape(block.out_width, -1)
         grads[f"conv{idx}.w"] = (dpre_mat @ cols.T).reshape(w.shape)
         grads[f"conv{idx}.b"] = dpre_mat.sum(axis=1)
         if idx == 0:
             break  # the input image takes no gradient
-        dcols = w.reshape(block.out_width, -1).T @ dpre_mat
-        dx = _col2im(dcols, in_shape, block.stride, act.shape[2], act.shape[3])
+        dcols = np.matmul(
+            w.reshape(block.out_width, -1).T, dpre_mat, out=conv.dcols[:, :cols.shape[1]]
+        )
+        dx = conv.col2im(dcols, a.shape[1])
         if block.residual:
             dx += da
         da = dx
     return probs, grads
 
 
-def backward(params: dict, cfg: CnnConfig, x: np.ndarray, onehot: np.ndarray):
+def backward(
+    params: dict,
+    cfg: CnnConfig,
+    x: np.ndarray,
+    onehot: np.ndarray,
+    workspace: Workspace | None = None,
+):
     """Loss and exact gradients of batch-mean cross-entropy for every tensor."""
     a = _as_images(cfg, x)
     n = a.shape[1]
     if onehot.shape != (n, cfg.n_classes):
         raise ShapeMismatch(f"targets {onehot.shape}, expected {(n, cfg.n_classes)}")
+    ws = _workspace(cfg, workspace)
     probs = []
     grads: dict[str, np.ndarray] = {}
-    for part in _micro_batches(cfg, n):
-        part_probs, part_grads = _backprop(params, cfg, a[:, part], onehot[part], n)
+    for part in ws.micro_batches(n):
+        part_probs, part_grads = _backprop(params, cfg, a[:, part], onehot[part], n, ws)
         probs.append(part_probs)
         if grads:
             for name, g in part_grads.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .dataset import DEFAULT_WINDOW_LEN, BinaryClass
 from .errors import RecordingTooShort, ShapeMismatch
 from .features import PsdSpec, psd_feature_values
-from .nn import CnnConfig, forward
+from .nn import CnnConfig, Workspace, forward
 from .signals import FilterRealization, Recording, filter_array, zscore_array
 
 STRATEGIES = ("calming_stimuli", "breathing_exercise", "positive_affirmation")
@@ -112,6 +112,7 @@ def stream_classify(
         raise ShapeMismatch(
             f"{len(class_names)} class names for a {cnn_cfg.n_classes}-class head"
         )
+    workspace = Workspace(cnn_cfg)
     decisions: list[WindowDecision] = []
     events: list[InterventionEvent] = []
     run = 0
@@ -122,7 +123,7 @@ def stream_classify(
         chunk = rec.data[:, start:start + spec.window_len]
         cleaned = zscore_array(filter_array(filt, chunk))
         values, _ = psd_feature_values(cleaned, rec.sample_rate_hz, psd_spec)
-        probs = forward(params, cnn_cfg, values[None, :, :])[0]
+        probs = forward(params, cnn_cfg, values[None, :, :], workspace)[0]
         proc_ms = (time.perf_counter() - t0) * 1e3
         cls = int(probs.argmax())
         name = class_names[cls]

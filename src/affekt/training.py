@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEvaluationSet, NonFiniteLoss, ShapeMismatch
-from .nn import CnnConfig, backward, cross_entropy, forward, init_params
+from .nn import CnnConfig, Workspace, backward, cross_entropy, forward, init_params
 
 
 @dataclass(frozen=True)
@@ -111,20 +111,25 @@ class TrainResult:
     stopped_epoch: int
 
 
-def evaluate(params: dict, cfg: CnnConfig, batches) -> tuple[float, float, float]:
+def evaluate(
+    params: dict, cfg: CnnConfig, batches, workspace: Workspace | None = None
+) -> tuple[float, float, float]:
     """(mean loss, accuracy, mean forward ms per batch), sample-weighted.
 
-    batches is a list of (x, onehot) pairs.
+    batches is a list of (x, onehot) pairs. Without a workspace, one is made
+    for this call and shared by its batches.
     """
     if not batches:
         raise EmptyEvaluationSet("no batches to evaluate")
+    if workspace is None:
+        workspace = Workspace(cfg)
     total_loss = 0.0
     total_correct = 0
     total_n = 0
     times = []
     for x, y in batches:
         t0 = time.perf_counter()
-        probs = forward(params, cfg, x)
+        probs = forward(params, cfg, x, workspace)
         times.append((time.perf_counter() - t0) * 1e3)
         total_loss += cross_entropy(probs, y) * len(x)
         total_correct += int((probs.argmax(axis=1) == y.argmax(axis=1)).sum())
@@ -138,12 +143,14 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
     """Seeded full training run with early stopping on validation loss.
 
     train_batches and val_batches are lists of (x, onehot) pairs. Batch
-    composition is fixed; only the visit order is reshuffled each epoch.
+    composition is fixed; only the visit order is reshuffled each epoch. One
+    workspace serves every backward and validation forward pass of the run.
     """
     if not train_batches:
         raise EmptyEvaluationSet("no training batches")
     params = init_params(cfg)
     state = adam_init(params)
+    workspace = Workspace(cfg)
     rng = np.random.default_rng(tcfg.seed)
     best_loss = np.inf
     best_params = {k: p.copy() for k, p in params.items()}
@@ -158,7 +165,7 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
         n_sum = 0
         for batch_idx in order:
             x, y = train_batches[batch_idx]
-            loss, grads = backward(params, cfg, x, y)
+            loss, grads = backward(params, cfg, x, y, workspace)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss not finite at epoch {epoch}")
             params, state = adam_step(
@@ -167,7 +174,7 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
             loss_sum += loss * len(x)
             n_sum += len(x)
         train_loss = loss_sum / n_sum
-        val_loss, val_acc, _ = evaluate(params, cfg, val_batches)
+        val_loss, val_acc, _ = evaluate(params, cfg, val_batches, workspace)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss not finite at epoch {epoch}")
         epoch_log.append(EpochRecord(epoch, lr, train_loss, val_loss, val_acc))

@@ -9,7 +9,7 @@ from affekt.errors import NonFiniteActivation, ShapeMismatch
 from affekt.nn import (
     BlockSpec,
     CnnConfig,
-    _micro_batches,
+    Workspace,
     backward,
     cross_entropy,
     forward,
@@ -245,6 +245,28 @@ def einsum_backward(params, blocks, x, onehot):
     return cross_entropy(probs, onehot), grads
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("extent", [(1, 1), (2, 3), (7, 10), (9, 5), (32, 128)])
+def test_im2col_col2im_equal_padded_copy_references(extent, stride):
+    # bit for bit, signed zeros included: in-image tap copies into a buffer
+    # zeroed once, and one bincount in place of nine shifted +=
+    c, b = 3, 2
+    h, w = extent
+    conv = nn._Conv(BlockSpec(4, stride), c, h, w, samples=b + 1, first=False)
+    rng = np.random.default_rng(h * w + stride)
+    for a in (rng.standard_normal((c, b, h, w)), rng.standard_normal((c, b, h, w))):
+        a[:, :, ::2] = -0.0
+        ref, ho, wo = _im2col_batch_major(a.transpose(1, 0, 2, 3), stride)
+        ref = ref.reshape(b, c, 3, 3, ho, wo).transpose(1, 2, 3, 0, 4, 5)
+        assert conv.im2col(a).tobytes() == ref.tobytes()
+        dcols = rng.standard_normal((c, 3, 3, b, ho, wo))
+        dcols[:, :, 1] = -0.0
+        batch_major = dcols.transpose(3, 0, 1, 2, 4, 5).reshape(b, c * 9, ho * wo)
+        ref_dx = _col2im_batch_major(batch_major, (b, c, h, w), stride, ho, wo).transpose(1, 0, 2, 3)
+        got = conv.col2im(dcols.reshape(c * 9, -1), b)
+        assert got.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 5])
 @pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
 def test_odd_and_even_extents_match_references(preset, batch):
@@ -289,7 +311,7 @@ def test_micro_batched_backward_matches_one_pass():
     # cnn-small on 128 x 128 holds 3 samples per micro-batch: 7 splits as 3 + 3 + 1
     blocks = [(b["out_width"], b["stride"], b["residual"]) for b in MODEL_PRESETS["cnn-small"]]
     cfg = small_config(blocks, channels=128, bins=128, seed=4)
-    assert [(p.start, p.stop) for p in _micro_batches(cfg, 7)] == [(0, 3), (3, 6), (6, 9)]
+    assert [(p.start, p.stop) for p in Workspace(cfg).micro_batches(7)] == [(0, 3), (3, 6), (6, 9)]
     params = init_params(cfg)
     for idx in range(len(blocks)):
         params[f"conv{idx}.b"] = np.random.default_rng(idx).uniform(-0.2, 0.2, blocks[idx][0])
@@ -305,3 +327,72 @@ def test_micro_batched_backward_matches_one_pass():
     for name in ref:
         scale = max(np.abs(ref[name]).max(), 1e-8)
         assert np.abs(grads[name] - ref[name]).max() / scale <= 1e-12, name
+
+
+WORKSPACE_STACKS = {
+    **{name: [(b["out_width"], b["stride"], b["residual"]) for b in blocks]
+       for name, blocks in MODEL_PRESETS.items() if name != "cnn-small-narrow"},
+    "odd-stack": [(3, 2, False), (5, 1, False), (5, 1, True), (4, 2, False)],
+}
+
+
+def _biased_params(cfg, blocks):
+    params = init_params(cfg)
+    for idx in range(len(blocks)):
+        params[f"conv{idx}.b"] = np.random.default_rng(idx).uniform(-0.2, 0.2, blocks[idx][0])
+    return params
+
+
+def _assert_same_bits(got, want):
+    loss, grads = got
+    assert loss == want[0]
+    assert sorted(grads) == sorted(want[1])
+    for name, g in grads.items():
+        assert g.tobytes() == want[1][name].tobytes(), name
+
+
+@pytest.mark.parametrize("extent", [(128, 128), (32, 128), (127, 129)])
+@pytest.mark.parametrize("stack", sorted(WORKSPACE_STACKS))
+def test_reused_workspace_matches_one_off_calls(stack, extent):
+    # the calls train makes: backward on batches whose last micro-batch is short,
+    # with validation forwards in between, all on one workspace
+    blocks = WORKSPACE_STACKS[stack]
+    cfg = small_config(blocks, channels=extent[0], bins=extent[1], seed=2)
+    params = _biased_params(cfg, blocks)
+    ws = Workspace(cfg)
+    k = ws.micro_batch
+    rng = np.random.default_rng(extent[0] + len(blocks))
+    for n, kind in [(k + 1, "backward"), (2, "forward"), (max(2 * k - 1, 1), "backward"),
+                    (1, "backward"), (k + 2, "forward"), (k + 1, "backward")]:
+        x = rng.standard_normal((n, *extent))
+        if kind == "forward":
+            assert forward(params, cfg, x, ws).tobytes() == forward(params, cfg, x).tobytes()
+        else:
+            y = np.eye(3)[rng.integers(0, 3, size=n)]
+            _assert_same_bits(backward(params, cfg, x, y, ws), backward(params, cfg, x, y))
+
+
+@pytest.mark.parametrize("stack", sorted(WORKSPACE_STACKS))
+def test_workspace_results_survive_later_calls(stack):
+    # nothing returned may point into the workspace's buffers
+    blocks = WORKSPACE_STACKS[stack]
+    cfg = small_config(blocks, channels=32, bins=128, seed=5)
+    params = _biased_params(cfg, blocks)
+    ws = Workspace(cfg)
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.standard_normal((2, ws.micro_batch + 1, 32, 128))
+    y1, y2 = np.eye(3)[rng.integers(0, 3, size=(2, ws.micro_batch + 1))]
+    probs = forward(params, cfg, x1, ws)
+    loss, grads = backward(params, cfg, x1, y1, ws)
+    kept = probs.copy(), loss, {name: g.copy() for name, g in grads.items()}
+    forward(params, cfg, x2, ws)
+    backward(params, cfg, x2, y2, ws)
+    assert probs.tobytes() == kept[0].tobytes()
+    _assert_same_bits((loss, grads), kept[1:])
+
+
+def test_workspace_belongs_to_one_network():
+    cfg = small_config([(4, 2, False)])
+    other = small_config([(8, 2, False)])
+    with pytest.raises(ShapeMismatch, match="workspace"):
+        forward(init_params(cfg), cfg, np.zeros((1, 4, 8)), Workspace(other))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from affekt import stream
 from affekt.dataset import BINARY_CLASS_NAMES
 from affekt.errors import RecordingTooShort, ShapeMismatch
 from affekt.features import PsdSpec
-from affekt.nn import BlockSpec, CnnConfig, init_params
+from affekt.nn import BlockSpec, CnnConfig, Workspace, init_params
 from affekt.signals import FilterKind, FilterSpec, Recording, design_filter, powerline_notch
 from affekt.stream import STRATEGIES, StreamSpec, stream_classify
 from oracles import trigger_indices
@@ -167,3 +168,20 @@ def test_mean_proc_time_recorded():
     assert result.mean_proc_ms > 0.0
     per_window = [d.proc_ms for d in result.decisions]
     assert result.mean_proc_ms == pytest.approx(float(np.mean(per_window)), rel=1e-9)
+
+
+def test_stream_reuses_one_workspace(monkeypatch):
+    # one workspace per run, so a window's forward pass allocates no buffers
+    seen = []
+    inner = stream.forward
+
+    def spy(params, cfg, x, workspace=None):
+        seen.append(workspace)
+        return inner(params, cfg, x, workspace)
+
+    monkeypatch.setattr(stream, "forward", spy)
+    cfg, params = varied_model(4)
+    result = run(make_recording(1500 + 3 * 375), cfg, params, window_len=1500, hop_samples=375)
+    assert len(seen) == len(result.decisions) == 4
+    assert isinstance(seen[0], Workspace)
+    assert all(ws is seen[0] for ws in seen)

@@ -1,11 +1,15 @@
 """Optimizer, schedule, training loop, early stopping, and checkpoint tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from affekt import training
 from affekt.checkpoint import load_checkpoint, save_checkpoint
 from affekt.errors import EmptyEvaluationSet, InvalidFormat, NonFiniteLoss
-from affekt.nn import BlockSpec, CnnConfig, forward, init_params
+from affekt.nn import BlockSpec, CnnConfig, Workspace, forward, init_params
 from affekt.training import (
     AdamState,
     TrainConfig,
@@ -213,6 +217,69 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     cut.write_bytes(raw[:-3])
     with pytest.raises(InvalidFormat):
         load_checkpoint(cut)
+
+
+def _with_header(raw, edit):
+    """A checkpoint's bytes with its config header blob replaced by edit(blob)."""
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    blob = edit(raw[12:12 + blob_len])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:]
+
+
+def _drop_header_key(blob):
+    header = json.loads(blob)
+    del header["n_classes"]
+    return json.dumps(header).encode()
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        ("header key missing", "n_classes"),
+        ("header not json", "config header"),
+        ("tensor missing", "dense.w"),
+        ("tensor misshaped", "conv0.w"),
+    ],
+)
+def test_checkpoint_that_does_not_fit_its_model_is_invalid(tmp_path, damage, named):
+    cfg = CnnConfig(input_channels=4, input_bins=8, blocks=(BlockSpec(3, 2, False),), n_classes=2)
+    params = init_params(cfg)
+    if damage == "tensor missing":
+        del params["dense.w"]
+    if damage == "tensor misshaped":
+        params["conv0.w"] = params["conv0.w"].reshape(1, 3, 3, 3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, params)
+    if damage == "header key missing":
+        path.write_bytes(_with_header(path.read_bytes(), _drop_header_key))
+    if damage == "header not json":
+        path.write_bytes(_with_header(path.read_bytes(), lambda blob: b"{" + blob))
+    with pytest.raises(InvalidFormat, match=named) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_train_reuses_one_workspace(monkeypatch):
+    # every backward and validation forward of a run gets the run's workspace;
+    # without it each call builds its buffers anew
+    seen = []
+    inner_backward, inner_forward = training.backward, training.forward
+
+    def backward_spy(params, cfg, x, onehot, workspace=None):
+        seen.append(workspace)
+        return inner_backward(params, cfg, x, onehot, workspace)
+
+    def forward_spy(params, cfg, x, workspace=None):
+        seen.append(workspace)
+        return inner_forward(params, cfg, x, workspace)
+
+    monkeypatch.setattr(training, "backward", backward_spy)
+    monkeypatch.setattr(training, "forward", forward_spy)
+    cfg, train_batches, val_batches = toy_task(seed=6)
+    train(cfg, TrainConfig(max_epochs=2, patience=2, seed=0), train_batches, val_batches)
+    assert len(seen) == 2 * (len(train_batches) + len(val_batches))
+    assert isinstance(seen[0], Workspace)
+    assert all(ws is seen[0] for ws in seen)
 
 
 def test_train_config_validation():
