@@ -1,0 +1,129 @@
+"""Fresh-process `affekt train` or `affekt entropy` runs of two trees, paired.
+
+    python3 cold_stage.py --parent OLD_TREE --change NEW_TREE --workdir DIR \
+        [--stage train|entropy] [--preset cnn-small] [--repeats 3]
+
+Each tree is a source checkout (its src/ is put on PYTHONPATH). The stage's
+inputs are built once with the change's tree and shared by both trees:
+
+- train: the acceptance end-to-end cohort (40 subjects x 8 events x 128
+  channels, synth seed 101, 100 epochs, as in tests/test_acceptance.py)
+  through synth, preprocess and featurize; --preset picks the model.
+- entropy: the default config with 128 channels through synth, preprocess
+  and augment.
+
+Each timed run then starts a new interpreter, as the CLI stage does, with one
+BLAS thread. Wall time comes from perf_counter around the child; user and
+system time, minor faults and max RSS come from the child's own rusage
+(os.wait4, the figures getrusage(RUSAGE_CHILDREN) reports for one child). The
+trees alternate which runs first, and after every pair the stage's artifacts
+of both (checkpoints and epoch logs; reports/entropy.json) are compared byte
+for byte. Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+STAGES = {
+    "train": {
+        "config": {
+            "synth": {"n_subjects": 40, "events_per_subject": 8, "channels": 128,
+                      "fs_hz": 512.0, "seed": 101},
+            "train": {"max_epochs": 100},
+        },
+        "inputs": ("synth", "preprocess", "featurize"),
+        "ready": "features/manifest.json",
+        "shared": ("features",),
+        "artifacts": ("model/task1_binary.ckpt", "model/task2_categorical.ckpt",
+                      "model/task1_binary_log.jsonl", "model/task2_categorical_log.jsonl"),
+    },
+    "entropy": {
+        "config": {"synth": {"channels": 128}},
+        "inputs": ("synth", "preprocess", "augment"),
+        "ready": "windows_noisy/windows.json",
+        "shared": ("windows", "windows_noisy"),
+        "artifacts": ("reports/entropy.json",),
+    },
+}
+
+
+def cli(tree: Path, stage: str, config: Path, out: Path) -> tuple[list[str], dict]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return [sys.executable, "-m", "affekt.cli", stage, "--config", str(config),
+            "--out", str(out)], env
+
+
+def timed(cmd: list[str], env: dict) -> dict:
+    t0 = time.perf_counter()
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    if child.returncode:
+        raise SystemExit(f"{' '.join(cmd)} exited {child.returncode}")
+    return {"wall_s": round(wall, 3), "user_s": round(usage.ru_utime, 3),
+            "system_s": round(usage.ru_stime, 3), "minor_faults": usage.ru_minflt,
+            "max_rss_kib": usage.ru_maxrss}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workdir", type=Path, required=True)
+    ap.add_argument("--stage", choices=sorted(STAGES), default="train")
+    ap.add_argument("--preset", default="cnn-small", help="model preset (train only)")
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args()
+    stage = STAGES[args.stage]
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    work = args.workdir.resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    label = args.preset if args.stage == "train" else args.stage
+    config = work / f"{label}.json"
+    shared = work / f"cohort-{args.stage}"
+    sections = dict(stage["config"])
+    if args.stage == "train":
+        sections["model"] = {"preset": args.preset}
+    config.write_text(json.dumps({**sections, "workdir": str(shared)}, indent=2))
+    if not (shared / stage["ready"]).exists():
+        for name in stage["inputs"]:
+            cmd, env = cli(trees["change"], name, config, shared)
+            subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+    commands, runs, identical = {}, {name: [] for name in trees}, []
+    for name in trees:
+        out = work / f"{label}-{name}"
+        out.mkdir(exist_ok=True)
+        for folder in stage["shared"]:
+            if not (out / folder).exists():
+                (out / folder).symlink_to(shared / folder)
+        commands[name] = cli(trees[name], args.stage, config, out)
+    for rep in range(args.repeats):
+        order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+        for name in order:
+            runs[name].append(timed(*commands[name]))
+        identical.append(all(
+            filecmp.cmp(work / f"{label}-parent" / f, work / f"{label}-change" / f, shallow=False)
+            for f in stage["artifacts"]))
+    print(json.dumps({
+        "stage": args.stage,
+        "preset": args.preset if args.stage == "train" else None,
+        "commands": {name: {"argv": cmd,
+                            "env": {k: env[k] for k in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")}}
+                     for name, (cmd, env) in commands.items()},
+        "runs": runs,
+        "artifacts_identical_per_pair": identical,
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -23,7 +23,25 @@ CHECKPOINT_VERSION = 1
 MAX_RANK = 8
 
 
+def _misfit(cfg: CnnConfig, params: dict[str, np.ndarray]) -> str | None:
+    """How params differ in tensor names or shapes from cfg's network; None if they fit."""
+    expected = {name: p.shape for name, p in init_params(cfg).items()}
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            return f"tensor {name} is missing"
+        if name not in expected:
+            return f"tensor {name} is not part of the model"
+        shape = np.shape(params[name])
+        if shape != expected[name]:
+            return f"tensor {name} has shape {shape}, the model needs {expected[name]}"
+    return None
+
+
 def save_checkpoint(path, cfg: CnnConfig, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write params under cfg's header; params that do not fit cfg are ShapeMismatch, unwritten."""
+    misfit = _misfit(cfg, params)
+    if misfit:
+        raise ShapeMismatch(f"{path}: {misfit}")
     header = asdict(cfg)
     if meta:
         header["meta"] = meta
@@ -88,15 +106,7 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
             payload = _read_exact(fh, 4 * count, path, f"payload of {name}")
             params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-    expected = {name: p.shape for name, p in init_params(cfg).items()}
-    for name in sorted(expected.keys() | params.keys()):
-        if name not in params:
-            raise InvalidFormat(f"{path}: tensor {name} is missing")
-        if name not in expected:
-            raise InvalidFormat(f"{path}: tensor {name} is not part of the model")
-        if params[name].shape != expected[name]:
-            raise InvalidFormat(
-                f"{path}: tensor {name} has shape {params[name].shape}, "
-                f"the model needs {expected[name]}"
-            )
+    misfit = _misfit(cfg, params)
+    if misfit:
+        raise InvalidFormat(f"{path}: {misfit}")
     return cfg, params, meta

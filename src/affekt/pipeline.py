@@ -37,6 +37,7 @@ from .errors import (
     LayoutMismatch,
     MissingFile,
     RecordingTooShort,
+    ScaleTooLarge,
     ShapeMismatch,
 )
 from .features import psd_feature_values, read_feature_file, write_feature_file
@@ -208,15 +209,23 @@ def _profile_json(profile: EntropyProfile) -> dict:
 
 def cmd_entropy(cfg: PipelineConfig) -> dict:
     paths = paths_for(cfg)
-    manifest = _read_json(paths.windows / "windows.json")
+    manifest_path = paths.windows / "windows.json"
+    manifest = _read_json(manifest_path)
     params = cfg.entropy
+    window_len = manifest["window_len"]
+    if window_len // params.max_scale < params.m + 2:
+        raise ScaleTooLarge(
+            f"entropy.max_scale {params.max_scale} coarse-grains the {window_len}-sample windows "
+            f"of {manifest_path} to {window_len // params.max_scale} samples; "
+            f"entropy.m {params.m} needs at least {params.m + 2}"
+        )
     names = manifest["channel_names"]
     records = sorted(manifest["windows"], key=lambda r: r["id"])[: params.n_windows]
     windows_out = []
     deltas = []
     for record in records:
         clean, noisy = (
-            ds.read_window_file(d / record["file"], len(names), manifest["window_len"])
+            ds.read_window_file(d / record["file"], len(names), window_len)
             for d in (paths.windows, paths.windows_noisy)
         )
         channels = []

@@ -495,6 +495,24 @@ def test_entropy_reads_only_analysed_windows(capsys, tmp_path):
     assert (run_dir / "reports" / "entropy.json").read_bytes() == report
 
 
+def test_entropy_max_scale_too_large_for_windows_names_keys(capsys, tmp_path):
+    # the config loads and the other stages run; entropy refuses before reading
+    # a window (augment never ran, so there are no noisy windows to read)
+    path = tiny_config(tmp_path, entropy={"n_windows": 1, "max_scale": 400})
+    for stage in ("synth", "preprocess"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    manifest = tmp_path / "run" / "windows" / "windows.json"
+    window_len = json.loads(manifest.read_text())["window_len"]
+    code, _, err = run_cli(["entropy", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ScaleTooLarge"
+    for part in ("entropy.max_scale 400", "entropy.m 2", f"{window_len}-sample", str(manifest)):
+        assert part in payload["message"]
+    assert not (tmp_path / "run" / "reports" / "entropy.json").exists()
+
+
 def test_augment_noise_draws_differ_across_windows_and_seeds(capsys, tmp_path):
     path = tiny_config(tmp_path)
     for stage in ("synth", "preprocess"):

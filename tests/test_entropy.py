@@ -210,3 +210,45 @@ def test_shift_report_deltas_are_ci_differences():
         ci_clean = shift.profile_clean.complexity_index
         ci_noisy = shift.profile_noisy.complexity_index
         assert shift.delta == pytest.approx(ci_noisy - ci_clean, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("partners", [15, 16, 17, 31, 32, 33])
+def test_counts_exact_when_partners_end_at_block_edges(m, partners):
+    # evenly spaced first values give every sorted template `partners` first-value
+    # partners ahead, so the sweep's span ends just before, at or after a block edge
+    rng = np.random.default_rng(partners * 10 + m)
+    n = 200
+    rising = np.arange(n, dtype=np.float64)
+    nt = n - m + 1
+    assert template_match_counts(rising, m, partners) == (
+        sum(nt - 1 - d for d in range(1, partners + 1)),
+        sum(nt - d for d in range(1, partners + 1)),
+    )
+    for step in (1.0, 0.1, 0.37):
+        for x in (rising * step, rising[::-1] * step, rng.permutation(n) * step):
+            r = partners * step
+            assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_counts_exact_with_finished_rows_inside_the_span(m):
+    # two far-apart clusters: rows at the top of the low cluster run out of
+    # partners while rows on both sides of them still have some
+    rng = np.random.default_rng(40 + m)
+    for n_low, n_high in ((300, 300), (50, 400), (400, 50)):
+        x = rng.permutation(np.concatenate([
+            rng.standard_normal(n_low), 1000.0 + 0.5 * rng.standard_normal(n_high),
+        ]))
+        for r in (0.05, 0.2, 0.5):
+            assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_counts_exact_on_zscored_random_walks(m):
+    rng = np.random.default_rng(1500 + m)
+    for _ in range(3):
+        x = np.cumsum(rng.standard_normal(1500))
+        x = (x - x.mean()) / x.std()
+        for r in (0.15, 0.3):
+            assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)

@@ -2,13 +2,14 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from affekt import training
 from affekt.checkpoint import load_checkpoint, save_checkpoint
-from affekt.errors import EmptyEvaluationSet, InvalidFormat, NonFiniteLoss
+from affekt.errors import EmptyEvaluationSet, InvalidFormat, NonFiniteLoss, ShapeMismatch
 from affekt.nn import BlockSpec, CnnConfig, Workspace, forward, init_params
 from affekt.training import (
     AdamState,
@@ -219,6 +220,18 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         load_checkpoint(cut)
 
 
+def _raw_checkpoint(cfg, params):
+    """Checkpoint bytes for any params, laid out as the module docstring says, unchecked."""
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
+    raw = b"EEGM" + struct.pack("<II", 1, len(blob)) + blob
+    for name in sorted(params):
+        tensor = np.asarray(params[name], dtype="<f4")
+        encoded = name.encode()
+        raw += struct.pack("<I", len(encoded)) + encoded
+        raw += struct.pack(f"<I{tensor.ndim}I", tensor.ndim, *tensor.shape) + tensor.tobytes()
+    return raw
+
+
 def _with_header(raw, edit):
     """A checkpoint's bytes with its config header blob replaced by edit(blob)."""
     (blob_len,) = struct.unpack("<I", raw[8:12])
@@ -249,7 +262,7 @@ def test_checkpoint_that_does_not_fit_its_model_is_invalid(tmp_path, damage, nam
     if damage == "tensor misshaped":
         params["conv0.w"] = params["conv0.w"].reshape(1, 3, 3, 3)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, params)
+    path.write_bytes(_raw_checkpoint(cfg, params))
     if damage == "header key missing":
         path.write_bytes(_with_header(path.read_bytes(), _drop_header_key))
     if damage == "header not json":
@@ -257,6 +270,29 @@ def test_checkpoint_that_does_not_fit_its_model_is_invalid(tmp_path, damage, nam
     with pytest.raises(InvalidFormat, match=named) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [("tensor missing", "dense.w"), ("tensor misshaped", "conv0.w"), ("tensor extra", "conv1.w")],
+)
+def test_save_refuses_params_that_do_not_fit_and_writes_nothing(tmp_path, damage, named):
+    cfg = CnnConfig(input_channels=4, input_bins=8, blocks=(BlockSpec(3, 2, False),), n_classes=2)
+    params = init_params(cfg)
+    fitting = tmp_path / "fitting.ckpt"
+    save_checkpoint(fitting, cfg, params)
+    assert fitting.read_bytes() == _raw_checkpoint(cfg, params)
+    if damage == "tensor missing":
+        del params["dense.w"]
+    if damage == "tensor misshaped":
+        params["conv0.w"] = params["conv0.w"].reshape(1, 3, 3, 3)
+    if damage == "tensor extra":
+        params["conv1.w"] = np.zeros((3, 3, 3, 3))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ShapeMismatch, match=named) as info:
+        save_checkpoint(path, cfg, params)
+    assert str(path) in str(info.value)
+    assert not path.exists()
 
 
 def test_train_reuses_one_workspace(monkeypatch):
