@@ -47,6 +47,10 @@ class NyquistExceeded(UsageError):
     """Requested band extends past fs/2."""
 
 
+class EmptyBand(UsageError):
+    """No frequency bin of the PSD segment falls in 0 < f <= max_freq_hz."""
+
+
 # --- dataset layer ---
 
 class MissingFile(UsageError):

@@ -11,11 +11,23 @@ threshold the canonical 128-channel montage yields a 128x128 matrix.
 but skips its per-call set-up. The scaled window and the frequency grid come
 from a `ShortTimeFFT` built once per (fs, segment, hop), the way
 `scipy.signal.csd` builds it. Segments are cut as strided views, mean-removed
-and windowed in one pass, and transformed by one batched `rfft`. The
-periodogram is laid out (..., freq, segment) and made contiguous before the
-segment mean, as scipy's is: numpy sums 8 or more values pairwise along a
-contiguous axis but in order along a strided one, so any other layout would
-change the last bits once a window has 8 or more segments.
+and windowed in one pass, and transformed by one batched `rfft`. scipy
+averages the periodogram over segments as a contiguous (..., freq, segment)
+array. numpy sums fewer than 8 values in order along any axis, but 8 or more
+pairwise along a contiguous axis and in order along a strided one. So the
+periodogram stays in the rfft's (..., segment, freq) layout for windows of
+fewer than 8 segments (the default 1500-sample window has 4), and is copied
+to scipy's layout before the mean from 8 segments on; either way the sums
+run in scipy's order.
+
+The feature path works on the kept band only. Each bin's segment mean
+depends on no other bin (Welch 1967), so `psd_feature_values` cuts the
+spectra to 0 < f <= max_freq_hz before squaring, doubling and averaging,
+and the kept densities keep the bits that `welch_psd` gives them. The log
+matrix is standardized with one mean pass, sigma coming from the centred
+matrix by numpy std's own steps, so it keeps std's bits.
+scipy.signal and scipy.fft are imported by the functions that use them, so
+a stage that computes no spectrum does not load them.
 """
 
 from __future__ import annotations
@@ -23,13 +35,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as spfft
-from scipy import signal as sps
 
-from .errors import InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
+from .errors import EmptyBand, InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
+
+if TYPE_CHECKING:
+    from scipy.signal import ShortTimeFFT
 
 LOG_FLOOR = 1e-12
 FEATURE_MAGIC = b"EEGF"
@@ -70,12 +84,54 @@ class PsdSpec:
 
 
 @lru_cache(maxsize=16)
-def _stft(fs_hz: float, seg: int, hop: int) -> sps.ShortTimeFFT:
+def _stft(fs_hz: float, seg: int, hop: int) -> ShortTimeFFT:
     """Density-scaled Hann STFT of one Welch configuration, built as sps.csd builds it."""
+    from scipy import signal as sps
+
     return sps.ShortTimeFFT(
         sps.get_window("hann", seg), hop, fs_hz,
         fft_mode="onesided", mfft=seg, scale_to="psd", phase_shift=None,
     )
+
+
+def _welch(
+    x, fs_hz: float, spec: PsdSpec, max_freq_hz: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Welch densities along the last axis of the bins 0 < f <= max_freq_hz.
+
+    max_freq_hz=None keeps every bin, DC included. Only the kept bins are
+    squared, doubled and averaged; EmptyBand when none is kept.
+    """
+    from scipy import fft as spfft
+
+    x = np.asarray(x, dtype=np.float64)
+    seg = spec.resolve_segment_len(fs_hz)
+    if x.shape[-1] < seg:
+        raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
+    stft = _stft(float(fs_hz), seg, spec.hop(seg))
+    n_bins = len(stft.f)
+    if max_freq_hz is None:
+        lo, hi = 0, n_bins
+    else:
+        lo, hi = 1, int(np.searchsorted(stft.f, max_freq_hz, side="right"))
+        if hi <= lo:
+            raise EmptyBand(
+                f"psd.max_freq_hz {max_freq_hz} keeps no frequency bin: segment_len {seg} "
+                f"at {fs_hz} Hz spaces the bins fs/seg = {fs_hz / seg} Hz apart"
+            )
+    segs = sliding_window_view(x, seg, axis=-1)[..., ::stft.hop, :]
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    segs *= stft.win
+    spectra = spfft.rfft(segs, axis=-1)[..., lo:hi]
+    power = np.square(spectra.real)  # contiguous (..., segment, freq)
+    power += np.square(spectra.imag)
+    # one-sided: every bin but DC and an even segment's Nyquist bin is doubled
+    doubled_end = n_bins - 1 if seg % 2 == 0 else n_bins
+    power[..., max(lo, 1) - lo:min(hi, doubled_end) - lo] *= 2
+    freqs = stft.f[lo:hi].copy()
+    if power.shape[-2] < 8:
+        return freqs, power.mean(axis=-2)
+    return freqs, np.ascontiguousarray(np.swapaxes(power, -1, -2)).mean(axis=-1)
 
 
 def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, np.ndarray]:
@@ -85,19 +141,7 @@ def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, n
     Densities satisfy Parseval up to window effects: sum(psd) * df
     approximates each series' variance.
     """
-    x = np.asarray(x, dtype=np.float64)
-    seg = spec.resolve_segment_len(fs_hz)
-    if x.shape[-1] < seg:
-        raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
-    stft = _stft(float(fs_hz), seg, spec.hop(seg))
-    segs = sliding_window_view(x, seg, axis=-1)[..., ::stft.hop, :]
-    segs = segs - segs.mean(axis=-1, keepdims=True)
-    segs *= stft.win
-    spectra = np.swapaxes(spfft.rfft(segs, axis=-1), -1, -2)
-    power = np.square(spectra.real, order="C")  # contiguous (..., freq, segment)
-    power += np.square(spectra.imag)
-    power[..., 1:-1 if seg % 2 == 0 else None, :] *= 2
-    return stft.f.copy(), power.mean(axis=-1)
+    return _welch(x, fs_hz, spec, None)
 
 
 def psd_feature_values(
@@ -105,26 +149,24 @@ def psd_feature_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized log-power matrix for (channels, samples) data.
 
-    DC is excluded; bins run over 0 < f <= max_freq_hz. The log matrix is
-    standardized as a whole (population sigma); a degenerate all-equal matrix
-    comes back as zeros.
+    DC is excluded; bins run over 0 < f <= max_freq_hz, and EmptyBand is
+    raised when no bin does. The log matrix is standardized as a whole
+    (population sigma); a degenerate all-equal matrix comes back as zeros.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if spec.max_freq_hz > fs_hz / 2.0:
         raise NyquistExceeded(
             f"max_freq_hz {spec.max_freq_hz} exceeds Nyquist {fs_hz / 2.0}"
         )
-    freqs, psd = welch_psd(data, fs_hz, spec)
-    keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
-    # Boolean indexing along axis 1 returns a column-major copy, and mean/std
-    # sum it in a different order than a row-major one; the copy keeps the
-    # matrices bit-identical to a per-channel welch loop.
-    logp = np.log(np.ascontiguousarray(psd[:, keep]) + LOG_FLOOR)
-    mu = logp.mean()
-    sigma = logp.std()
+    freqs, psd = _welch(data, fs_hz, spec, spec.max_freq_hz)
+    logp = np.log(psd + LOG_FLOOR)
+    # one mean pass: sigma by numpy std's own steps on the centred matrix
+    centred = logp - logp.mean()
+    sigma = np.sqrt(np.square(centred).sum() / centred.size)
     if sigma < 1e-12:
-        return np.zeros_like(logp), freqs[keep]
-    return (logp - mu) / sigma, freqs[keep]
+        return np.zeros_like(logp), freqs
+    centred /= sigma
+    return centred, freqs
 
 
 # --- binary container: magic, version, dims, label id, row-major f32 LE ---

@@ -12,6 +12,8 @@ FilterRealization computes its edge padding and its steady-state section
 state (`sosfilt_zi`) once, when it is designed, and `filter_array` then only
 extends, filters forward and backward, and trims. The stream filters one
 short window per hop, where that set-up cost as much as the filtering.
+scipy.signal is imported by the functions that use it, so a stage that
+filters nothing does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import EdgeOutOfRange, InvalidOrder, RecordingTooShort, ShapeMismatch
 
@@ -109,6 +110,8 @@ class FilterRealization:
     zi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        from scipy import signal as sps
+
         sections = np.asarray(self.sections, dtype=np.float64)
         if sections.ndim != 2 or sections.shape[1] != 6:
             raise ShapeMismatch("sections must be (n_sections, 6)")
@@ -129,6 +132,8 @@ class FilterRealization:
 
 def design_filter(spec: FilterSpec) -> FilterRealization:
     """Design a digital Butterworth filter as second-order sections."""
+    from scipy import signal as sps
+
     wn = spec.edges_hz[0] if len(spec.edges_hz) == 1 else list(spec.edges_hz)
     sections = sps.butter(
         spec.order_n, wn, btype=spec.kind.value, fs=spec.fs_hz, output="sos"
@@ -163,6 +168,8 @@ def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
     the first sample, a backward pass started from zi times the last forward
     output, then the extension trimmed off.
     """
+    from scipy import signal as sps
+
     x = np.asarray(data, dtype=np.float64)
     n, edge = x.shape[-1], real.padlen
     if n <= edge:
@@ -187,13 +194,15 @@ def zscore_array(data: np.ndarray) -> np.ndarray:
     """Standard score per row with population sigma.
 
     Rows with sigma below SIGMA_FLOOR come back as all zeros instead of
-    dividing by ~0.
+    dividing by ~0. The row mean is taken once: sigma comes from the centred
+    rows by numpy std's own steps (sum of squares, divided by n, square
+    root), so it has std's bits.
     """
     data = np.asarray(data, dtype=np.float64)
-    sigma = data.std(axis=-1, keepdims=True)
+    out = data - data.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(np.square(out).sum(axis=-1, keepdims=True) / data.shape[-1])
     flat = sigma < SIGMA_FLOOR
     sigma[flat] = 1.0
-    out = data - data.mean(axis=-1, keepdims=True)
     out /= sigma
     np.copyto(out, 0.0, where=flat)
     return out

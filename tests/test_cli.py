@@ -241,6 +241,21 @@ def test_synth_preprocess_featurize_chain(capsys, tmp_path):
     assert features["source"] == "clean"
 
 
+def test_featurize_band_without_a_bin_names_keys(capsys, tmp_path):
+    # one-second segments at 512 Hz space the bins 1 Hz apart; 0.5 Hz keeps none
+    path = tiny_config(tmp_path, psd={"max_freq_hz": 0.5})
+    for stage in ("synth", "preprocess"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    code, _, err = run_cli(["featurize", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "EmptyBand"
+    for part in ("psd.max_freq_hz 0.5", "segment_len 512", "fs/seg = 1.0 Hz"):
+        assert part in payload["message"]
+    assert not (tmp_path / "run" / "features" / "manifest.json").exists()
+
+
 def test_seed_override_changes_bytes(capsys, tmp_path):
     path = tiny_config(tmp_path)
     code, _, _ = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "a")], capsys)
@@ -292,6 +307,21 @@ def test_leaf_module_imports_alone():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['affekt', 'affekt.errors']"
+
+
+def test_cli_import_loads_no_scipy_signal_or_fft():
+    # only the stages that filter or compute spectra pay for scipy.signal
+    src = str(Path(affekt.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, affekt.cli; "
+         "print(sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_default_config_round_trips():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from affekt.errors import InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
+from affekt.errors import (
+    InvalidFormat,
+    NyquistExceeded,
+    ShapeMismatch,
+    UsageError,
+    WindowTooShort,
+)
 from affekt.features import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
@@ -69,30 +75,48 @@ def test_hop_of_zero_samples_is_window_too_short():
 
 
 @pytest.mark.parametrize(
-    "spec", [PsdSpec(), PsdSpec(segment_len=200, overlap_fraction=0.25, max_freq_hz=90.0)]
+    "spec",
+    [
+        PsdSpec(),
+        PsdSpec(segment_len=200, overlap_fraction=0.25, max_freq_hz=90.0),
+        PsdSpec(max_freq_hz=256.0),  # keeps the Nyquist bin, which is not doubled
+        PsdSpec(segment_len=101, max_freq_hz=256.0),  # odd: every kept bin is doubled
+    ],
 )
 @pytest.mark.parametrize("n_channels", [1, 2, 3, 32, 128])
 def test_feature_values_equal_per_channel_welch(n_channels, spec):
     rng = np.random.default_rng(n_channels)
     data = rng.standard_normal((n_channels, 1500))
     seg = spec.resolve_segment_len(FS)
-    rows = []
-    for ch in data:
-        freqs, psd = sps.welch(
-            ch,
-            fs=FS,
-            window="hann",
-            nperseg=seg,
-            noverlap=int(round(seg * spec.overlap_fraction)),
-            detrend="constant",
-            scaling="density",
-        )
-        keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
-        rows.append(psd[keep])
-    logp = np.log(np.stack(rows) + LOG_FLOOR)
-    values, bins = psd_feature_values(data, FS, spec)
-    np.testing.assert_array_equal(bins, freqs[keep])
-    assert np.array_equal(values, (logp - logp.mean()) / logp.std())
+    # the reversed view is the layout filter_array returns
+    for name, x in (("contiguous", data), ("reversed", data[:, ::-1])):
+        rows = []
+        for ch in x:
+            freqs, psd = sps.welch(
+                ch,
+                fs=FS,
+                window="hann",
+                nperseg=seg,
+                noverlap=int(round(seg * spec.overlap_fraction)),
+                detrend="constant",
+                scaling="density",
+            )
+            keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
+            rows.append(psd[keep])
+        logp = np.log(np.stack(rows) + LOG_FLOOR)
+        values, bins = psd_feature_values(x, FS, spec)
+        np.testing.assert_array_equal(bins, freqs[keep])
+        assert np.array_equal(values, (logp - logp.mean()) / logp.std()), name
+
+
+def test_band_without_a_bin_is_usage_error():
+    # one-second segments space the bins 1 Hz apart, so 0.5 Hz keeps none
+    with pytest.raises(
+        UsageError, match=r"psd\.max_freq_hz 0\.5 .*segment_len 512 .*fs/seg = 1\.0 Hz"
+    ):
+        psd_feature_values(np.zeros((2, 1500)), FS, PsdSpec(max_freq_hz=0.5))
+    _, bins = psd_feature_values(np.ones((2, 1500)), FS, PsdSpec(max_freq_hz=1.0))
+    np.testing.assert_array_equal(bins, [1.0])
 
 
 @pytest.mark.parametrize(
@@ -102,6 +126,8 @@ def test_feature_values_equal_per_channel_welch(n_channels, spec):
         (100, 0.5),  # 29 segments, so the segment mean sums pairwise
         (101, 0.0),  # odd length: no unpaired Nyquist bin; no overlap, 14 segments
         (64, 0.25),  # 30 segments at a hop that is not half a segment
+        (512, 0.7),  # 7 segments: the most that numpy sums in order on any layout
+        (512, 0.75),  # 8 segments: the fewest that it sums pairwise
     ],
 )
 def test_welch_psd_equals_scipy_welch(segment_len, overlap):

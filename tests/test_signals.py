@@ -229,7 +229,8 @@ def test_zscore_equals_two_where_formula_with_flat_rows():
     x = 3.0 + 2.5 * rng.standard_normal((6, 500))
     x[1] = 7.0
     x[4] = 1e-3 + 1e-15 * rng.standard_normal(500)  # sigma below the floor, not exactly 0
-    for data in (x, x[None, :, :], x[2], x[1]):
+    # x[:, ::-1] is a reversed view, the layout filter_array returns
+    for data in (x, x[None, :, :], x[2], x[1], x[:, ::-1]):
         mu = data.mean(axis=-1, keepdims=True)
         sigma = data.std(axis=-1, keepdims=True)
         flat = sigma < SIGMA_FLOOR
