@@ -1,7 +1,7 @@
-"""Fresh-process `affekt train` or `affekt entropy` runs of two trees, paired.
+"""Fresh-process `affekt train`, `entropy` or `featurize` runs of two trees, paired.
 
     python3 cold_stage.py --parent OLD_TREE --change NEW_TREE --workdir DIR \
-        [--stage train|entropy] [--preset cnn-small] [--repeats 3]
+        [--stage train|entropy|featurize] [--preset cnn-small] [--repeats 3]
 
 Each tree is a source checkout (its src/ is put on PYTHONPATH). The stage's
 inputs are built once with the change's tree and shared by both trees:
@@ -11,14 +11,16 @@ inputs are built once with the change's tree and shared by both trees:
   through synth, preprocess and featurize; --preset picks the model.
 - entropy: the default config with 128 channels through synth, preprocess
   and augment.
+- featurize: the default config with 128 channels through synth and
+  preprocess.
 
 Each timed run then starts a new interpreter, as the CLI stage does, with one
 BLAS thread. Wall time comes from perf_counter around the child; user and
 system time, minor faults and max RSS come from the child's own rusage
 (os.wait4, the figures getrusage(RUSAGE_CHILDREN) reports for one child). The
 trees alternate which runs first, and after every pair the stage's artifacts
-of both (checkpoints and epoch logs; reports/entropy.json) are compared byte
-for byte. Prints one JSON object.
+of both (checkpoints and epoch logs; reports/entropy.json; every file under
+features/) are compared byte for byte. Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ STAGES = {
         "shared": ("windows", "windows_noisy"),
         "artifacts": ("reports/entropy.json",),
     },
+    "featurize": {
+        "config": {"synth": {"channels": 128}},
+        "inputs": ("synth", "preprocess"),
+        "ready": "windows/windows.json",
+        "shared": ("windows",),
+        "artifacts": ("features",),
+    },
 }
 
 
@@ -60,6 +69,15 @@ def cli(tree: Path, stage: str, config: Path, out: Path) -> tuple[list[str], dic
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     return [sys.executable, "-m", "affekt.cli", stage, "--config", str(config),
             "--out", str(out)], env
+
+
+def same_bytes(a: Path, b: Path) -> bool:
+    """True if files a and b, or every file under directories a and b, are identical."""
+    if not a.is_dir():
+        return filecmp.cmp(a, b, shallow=False)
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    return names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file()) and all(
+        filecmp.cmp(a / n, b / n, shallow=False) for n in names)
 
 
 def timed(cmd: list[str], env: dict) -> dict:
@@ -112,7 +130,7 @@ def main() -> None:
         for name in order:
             runs[name].append(timed(*commands[name]))
         identical.append(all(
-            filecmp.cmp(work / f"{label}-parent" / f, work / f"{label}-change" / f, shallow=False)
+            same_bytes(work / f"{label}-parent" / f, work / f"{label}-change" / f)
             for f in stage["artifacts"]))
     print(json.dumps({
         "stage": args.stage,

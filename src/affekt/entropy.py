@@ -10,10 +10,12 @@ and reported as None, never coerced to a number.
 A and B come from one sorted sweep. The length-m templates are sorted by
 their first value into an (m+1, N-m+1+16) matrix: row c holds value c+1,
 value m+1 is NaN for the template starting at N-m (it has no extension), and
-16 NaN columns pad the end; a NaN never compares <= r. Each step compares
-every sorted template i in a row span [lo, hi) with templates i+k .. i+k+15
-through one sliding-window view, without gathers: a pair within r on the
-first m values adds to B, and if also within r on value m+1, to A. The span
+16 NaN columns pad the end; a NaN never compares <= r. Each row is gathered
+straight from the series into the matrix, and NaN is written only where it
+belongs, so a call sets up little beyond its sort. Each step compares every
+sorted template i in a row span [lo, hi) with templates i+k .. i+k+15
+through one strided view of the matrix, without gathers: a pair within r on
+the first m values adds to B, and if also within r on value m+1, to A. The span
 then shrinks to the rows whose first-value gap at offset k+15 is still <= r,
 and the sweep stops when none is. That is exact: in a sorted array the gap
 from i to i+k never shrinks as k grows, and rounded subtraction keeps that
@@ -35,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ScaleTooLarge, SeriesTooShort
 
@@ -79,9 +80,15 @@ def template_match_counts(series, m: int, r: float) -> tuple[int, int]:
         raise SeriesTooShort(f"need at least m+2={m + 2} samples, got {n}")
     nt = n - m + 1
     order = np.argsort(x[:nt], kind="stable")
-    t = np.full((m + 1, nt + _BLOCK), np.nan)
-    t[:, :nt] = np.append(x, np.nan)[order + np.arange(m + 1)[:, None]]
-    ahead = sliding_window_view(t, _BLOCK, axis=1).swapaxes(1, 2)  # [c, w, j] = t[c, j + w]
+    t = np.empty((m + 1, nt + _BLOCK))
+    for c in range(m + 1):
+        # row m clips the index of the last template's missing extension; set to NaN below
+        np.take(x[c:], order, out=t[c, :nt], mode="clip")
+    t[m, int((order == nt - 1).argmax())] = np.nan
+    t[:, nt:] = np.nan
+    s0, s1 = t.strides
+    # [c, w, j] = t[c, j + w]
+    ahead = np.ndarray((m + 1, _BLOCK, nt + 1), buffer=t, strides=(s0, s1, s1))
     a = b = 0
     k, lo, hi = 1, 0, nt
     while k < nt:

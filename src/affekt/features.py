@@ -8,9 +8,10 @@ the whole matrix. With a 1-second segment at fs=512 and the default 128 Hz
 threshold the canonical 128-channel montage yields a 128x128 matrix.
 
 `welch_psd` gives the same bits as `scipy.signal.welch` with these settings
-but skips its per-call set-up. The scaled window and the frequency grid come
-from a `ShortTimeFFT` built once per (fs, segment, hop), the way
-`scipy.signal.csd` builds it. Segments are cut as strided views, mean-removed
+but skips its per-call set-up. The density-scaled Hann window and the
+frequency grid are built once per (fs, spec) with numpy, in the steps by
+which `scipy.signal.csd`'s `ShortTimeFFT` builds them, so they have its bits
+without loading scipy.signal. Segments are cut as strided views, mean-removed
 and windowed in one pass, and transformed by one batched `rfft`. scipy
 averages the periodogram over segments as a contiguous (..., freq, segment)
 array. numpy sums fewer than 8 values in order along any axis, but 8 or more
@@ -26,8 +27,8 @@ spectra to 0 < f <= max_freq_hz before squaring, doubling and averaging,
 and the kept densities keep the bits that `welch_psd` gives them. The log
 matrix is standardized with one mean pass, sigma coming from the centred
 matrix by numpy std's own steps, so it keeps std's bits.
-scipy.signal and scipy.fft are imported by the functions that use them, so
-a stage that computes no spectrum does not load them.
+scipy.fft is imported by the function that uses it, so a stage that
+computes no spectrum does not load it, and no stage here loads scipy.signal.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBand, InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
-
-if TYPE_CHECKING:
-    from scipy.signal import ShortTimeFFT
 
 LOG_FLOOR = 1e-12
 FEATURE_MAGIC = b"EEGF"
@@ -70,7 +67,14 @@ class PsdSpec:
             self.hop(seg)
 
     def resolve_segment_len(self, fs_hz: float) -> int:
-        return self.segment_len if self.segment_len is not None else int(round(fs_hz))
+        if self.segment_len is not None:
+            return self.segment_len
+        seg = int(round(fs_hz))
+        if seg < 2:
+            raise WindowTooShort(
+                f"one second at {fs_hz} Hz is {seg} samples, need a segment_len >= 2"
+            )
+        return seg
 
     def hop(self, seg: int) -> int:
         """Samples between the starts of consecutive segments; WindowTooShort below 1."""
@@ -84,14 +88,28 @@ class PsdSpec:
 
 
 @lru_cache(maxsize=16)
-def _stft(fs_hz: float, seg: int, hop: int) -> ShortTimeFFT:
-    """Density-scaled Hann STFT of one Welch configuration, built as sps.csd builds it."""
-    from scipy import signal as sps
+def welch_setup(fs_hz: float, spec: PsdSpec) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(segment, hop, window, grid) of spec at fs_hz, built once per pair.
 
-    return sps.ShortTimeFFT(
-        sps.get_window("hann", seg), hop, fs_hz,
-        fft_mode="onesided", mfft=seg, scale_to="psd", phase_shift=None,
-    )
+    The window is the density-scaled periodic Hann window and the grid the
+    one-sided frequencies, with the bits of `scipy.signal.ShortTimeFFT(
+    get_window("hann", seg), hop, fs_hz, mfft=seg, scale_to="psd")`'s `win`
+    and `f`: built as `general_cosine` and `fac_psd` build them (the builtin
+    sum included), without importing scipy.signal. A caller that times its
+    calls can run it first, so that no timed call pays for it.
+    """
+    seg = spec.resolve_segment_len(fs_hz)
+    hop = spec.hop(seg)
+    fac = np.linspace(-np.pi, np.pi, seg + 1)
+    win = np.zeros(seg + 1)
+    for k, a in enumerate((0.5, 0.5)):
+        win += a * np.cos(k * fac)
+    win = win[:-1]
+    period = 1 / fs_hz
+    win = win * (1 / np.sqrt(sum(win.real**2 + win.imag**2) / period))
+    grid = np.fft.rfftfreq(seg, period)
+    win.flags.writeable = grid.flags.writeable = False
+    return seg, hop, win, grid
 
 
 def _welch(
@@ -105,30 +123,29 @@ def _welch(
     from scipy import fft as spfft
 
     x = np.asarray(x, dtype=np.float64)
-    seg = spec.resolve_segment_len(fs_hz)
+    seg, hop, win, grid = welch_setup(fs_hz, spec)
     if x.shape[-1] < seg:
         raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
-    stft = _stft(float(fs_hz), seg, spec.hop(seg))
-    n_bins = len(stft.f)
+    n_bins = len(grid)
     if max_freq_hz is None:
         lo, hi = 0, n_bins
     else:
-        lo, hi = 1, int(np.searchsorted(stft.f, max_freq_hz, side="right"))
+        lo, hi = 1, int(np.searchsorted(grid, max_freq_hz, side="right"))
         if hi <= lo:
             raise EmptyBand(
                 f"psd.max_freq_hz {max_freq_hz} keeps no frequency bin: segment_len {seg} "
                 f"at {fs_hz} Hz spaces the bins fs/seg = {fs_hz / seg} Hz apart"
             )
-    segs = sliding_window_view(x, seg, axis=-1)[..., ::stft.hop, :]
+    segs = sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
     segs = segs - segs.mean(axis=-1, keepdims=True)
-    segs *= stft.win
+    segs *= win
     spectra = spfft.rfft(segs, axis=-1)[..., lo:hi]
     power = np.square(spectra.real)  # contiguous (..., segment, freq)
     power += np.square(spectra.imag)
     # one-sided: every bin but DC and an even segment's Nyquist bin is doubled
     doubled_end = n_bins - 1 if seg % 2 == 0 else n_bins
     power[..., max(lo, 1) - lo:min(hi, doubled_end) - lo] *= 2
-    freqs = stft.f[lo:hi].copy()
+    freqs = grid[lo:hi].copy()
     if power.shape[-2] < 8:
         return freqs, power.mean(axis=-2)
     return freqs, np.ascontiguousarray(np.swapaxes(power, -1, -2)).mean(axis=-1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dataset import DEFAULT_WINDOW_LEN, BinaryClass
 from .errors import RecordingTooShort, ShapeMismatch
-from .features import PsdSpec, psd_feature_values
+from .features import PsdSpec, psd_feature_values, welch_setup
 from .nn import CnnConfig, Workspace, forward
 from .signals import FilterRealization, Recording, filter_array, zscore_array
 
@@ -113,6 +113,7 @@ def stream_classify(
             f"{len(class_names)} class names for a {cnn_cfg.n_classes}-class head"
         )
     workspace = Workspace(cnn_cfg)
+    welch_setup(rec.sample_rate_hz, psd_spec)  # cached, so no window's timer includes it
     decisions: list[WindowDecision] = []
     events: list[InterventionEvent] = []
     run = 0

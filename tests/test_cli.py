@@ -324,6 +324,23 @@ def test_cli_import_loads_no_scipy_signal_or_fft():
     assert result.stdout.strip() == "[]"
 
 
+def test_psd_features_load_no_scipy_signal():
+    # the Welch window and frequency grid are built with numpy, so featurize pays
+    # for scipy.fft only
+    src = str(Path(affekt.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np; from affekt.features import psd_feature_values; "
+         "psd_feature_values(np.random.default_rng(0).standard_normal((4, 1500)), 512.0); "
+         "print(sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['scipy.fft']"
+
+
 def test_default_config_round_trips():
     base = default_config_dict("/tmp/wd")
     cfg = config_from_dict(base)

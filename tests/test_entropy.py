@@ -250,5 +250,12 @@ def test_counts_exact_on_zscored_random_walks(m):
     for _ in range(3):
         x = np.cumsum(rng.standard_normal(1500))
         x = (x - x.mean()) / x.std()
+        columns = np.stack([-x, x], axis=1)
         for r in (0.15, 0.3):
             assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)
+            # a reversed view, a column slice and float32 count as their contiguous float64 copies
+            for y in (x[::-1], columns[:, 1], x.astype(np.float32)):
+                contiguous = np.array(y, dtype=np.float64)
+                assert not y.flags.c_contiguous or y.dtype == np.float32
+                assert template_match_counts(y, m, r) == template_match_counts(contiguous, m, r)
+                assert template_match_counts(y, m, r) == sampen_counts_bruteforce(y, m, r)

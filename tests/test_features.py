@@ -21,6 +21,7 @@ from affekt.features import (
     psd_feature_values,
     read_feature_file,
     welch_psd,
+    welch_setup,
     write_feature_file,
 )
 from oracles import total_power_fsum
@@ -58,6 +59,14 @@ def test_segment_len_defaults_to_one_second():
     spec = PsdSpec()
     assert spec.resolve_segment_len(512.0) == 512
     assert spec.resolve_segment_len(250.0) == 250
+
+
+def test_one_second_of_fewer_than_two_samples_is_window_too_short():
+    # below 1.5 Hz the implied one-second segment has 0 or 1 samples
+    for fs in (1.0, 0.4):
+        with pytest.raises(WindowTooShort, match="need a segment_len >= 2"):
+            PsdSpec().resolve_segment_len(fs)
+    assert PsdSpec().resolve_segment_len(1.5) == 2
 
 
 def test_window_too_short():
@@ -156,6 +165,27 @@ def test_welch_psd_equals_scipy_welch(segment_len, overlap):
         assert np.array_equal(got_freqs, freqs), name
         assert got.shape == psd.shape, name
         assert np.array_equal(got, psd), name
+
+
+@pytest.mark.parametrize(
+    "seg,fs",
+    [(512, 512.0), (256, 256.0), (101, 512.0), (500, 500.0), (2, 100.0), (1024, 512.0),
+     # grids on which k * (fs / seg) differs from rfftfreq's k * (1 / (seg * (1 / fs)))
+     (9, 250.0), (11, 333.3)],
+)
+def test_welch_setup_equals_short_time_fft(seg, fs):
+    # the window and grid that scipy.signal.welch gets from its ShortTimeFFT, bit for bit
+    for hop in (seg // 2, seg):
+        spec = PsdSpec(segment_len=seg, overlap_fraction=1 - hop / seg)
+        stft = sps.ShortTimeFFT(
+            sps.get_window("hann", seg), hop, fs,
+            fft_mode="onesided", mfft=seg, scale_to="psd", phase_shift=None,
+        )
+        got_seg, got_hop, win, grid = welch_setup(fs, spec)
+        assert (got_seg, got_hop) == (seg, hop)
+        assert np.array_equal(win, stft.win) and win.dtype == stft.win.dtype
+        assert np.array_equal(grid, stft.f)
+        assert not win.flags.writeable and not grid.flags.writeable
 
 
 def test_feature_matrix_shape_and_bins():

@@ -185,3 +185,24 @@ def test_stream_reuses_one_workspace(monkeypatch):
     assert len(seen) == len(result.decisions) == 4
     assert isinstance(seen[0], Workspace)
     assert all(ws is seen[0] for ws in seen)
+
+
+def test_welch_setup_is_built_before_the_first_window_is_timed(monkeypatch):
+    # the first window's proc_ms must not include building the Welch window and grid
+    from affekt import features
+
+    features.welch_setup.cache_clear()
+    cached_at_first_timer = []
+    clock = stream.time.perf_counter
+
+    def timer():
+        if not cached_at_first_timer:
+            cached_at_first_timer.append(features.welch_setup.cache_info().currsize)
+        return clock()
+
+    monkeypatch.setattr(stream.time, "perf_counter", timer)
+    cfg, params = biased_model(4)
+    result = run(make_recording(1500 + 375), cfg, params, window_len=1500, hop_samples=375)
+    assert len(result.decisions) == 2
+    assert cached_at_first_timer == [1]
+    assert features.welch_setup.cache_info().misses == 1
