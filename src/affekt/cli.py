@@ -2,9 +2,9 @@
 
     affekt <stage> --config CONFIG.json [--seed N] [--out DIR]
 
-Stages: synth, preprocess, augment, entropy, featurize, train, eval, stream.
-Each stage prints a JSON report to stdout on success. Failures print a JSON
-object {"error": ..., "message": ...} to stderr and exit 2 for usage problems
+The stages are pipeline.STAGES, in pipeline order. Each stage prints a JSON
+report to stdout on success. Failures print a JSON object
+{"error": ..., "message": ...} to stderr and exit 2 for usage problems
 (missing inputs, malformed config or artifacts) or 1 for runtime errors.
 """
 
@@ -18,17 +18,6 @@ from . import pipeline
 from .config import load_config
 from .errors import AffektError, UsageError
 
-STAGES = {
-    "synth": pipeline.cmd_synth,
-    "preprocess": pipeline.cmd_preprocess,
-    "augment": pipeline.cmd_augment,
-    "entropy": pipeline.cmd_entropy,
-    "featurize": pipeline.cmd_featurize,
-    "train": pipeline.cmd_train,
-    "eval": pipeline.cmd_eval,
-    "stream": pipeline.cmd_stream,
-}
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -40,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="EEG emotion pipeline: synthesis, preprocessing, features, training, streaming.",
     )
     sub = parser.add_subparsers(dest="stage", required=True)
-    for name, fn in STAGES.items():
-        stage = sub.add_parser(name, help=(fn.__doc__ or "").strip() or name)
+    for name in pipeline.STAGES:
+        stage = sub.add_parser(name, help=name)
         stage.add_argument("--config", required=True, help="path to the pipeline JSON config")
         stage.add_argument("--seed", type=int, default=None, help="override all stage seeds")
         stage.add_argument("--out", default=None, help="override the configured workdir")
@@ -63,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        report = STAGES[args.stage](cfg)
+        report = pipeline.STAGES[args.stage].run(cfg)
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)
     except AffektError as exc:

@@ -86,10 +86,10 @@ def _require(path: Path) -> Path:
     return path
 
 
-def read_json_object(path: Path, missing_hint: str = "") -> dict:
+def read_json_object(path: Path) -> dict:
     """Parse a file holding one JSON object; InvalidFormat names the file if it does not."""
     if not path.exists():
-        raise MissingFile(f"{path} does not exist{missing_hint}")
+        raise MissingFile(f"{path} does not exist")
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)

@@ -1,14 +1,8 @@
 """Stage implementations behind the CLI.
 
-Every stage reads only artifacts from earlier stages plus the config, and
-writes its outputs under the workdir:
-
-    raw/            synth          subject dirs (eeg.json, eeg.f32, events.tsv)
-    windows/        preprocess     filtered+standardized windows, windows.json
-    windows_noisy/  augment        perturbed copies of the windows
-    features/       featurize      EEGF feature files, manifest.json
-    model/          train          checkpoints + epoch logs (JSONL)
-    reports/        entropy, eval, stream
+STAGES lists the stages in pipeline order with the workdir paths each one
+reads and writes (see _stage); a stage reads only artifacts of earlier stages
+plus the config.
 
 Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except wall-clock timing fields,
@@ -21,16 +15,20 @@ by _write_jsonl; the emotion table is a plain dict from name to id.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import PipelineConfig, paths_for
+from .config import Paths, PipelineConfig, paths_for
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
 from .errors import (
     EmptyEvaluationSet,
@@ -55,19 +53,60 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path) -> dict:
-    return ds.read_json_object(path, "; run the producing stage first")
+class Stage(NamedTuple):
+    """A stage's runner and workdir paths ("x/" is a directory; a read may be a function of cfg).
+
+    writes is the one directory the stage owns or the report files it writes.
+    """
+
+    run: Callable[[PipelineConfig], dict]
+    reads: tuple
+    writes: tuple[str, ...]
+
+
+STAGES: dict[str, Stage] = {}
+
+
+def _require(cfg: PipelineConfig, rel: str, hint: str = "") -> Path:
+    """The workdir path rel; MissingFile, saying hint or which stage writes rel, if it is absent."""
+    path = Path(cfg.workdir) / rel
+    if not path.exists():
+        if not hint:
+            producer = next(n for n, s in STAGES.items() if any(map(rel.startswith, s.writes)))
+            hint = f"run the {producer} stage first"
+            if not STAGES[producer].reads:  # a source stage: a dataset can stand in
+                hint += " or point workdir at a dataset"
+        raise MissingFile(f"{path} does not exist; {hint}")
+    return path
+
+
+def _stage(reads: tuple = (), *, writes: tuple[str, ...]):
+    """Register cmd_<name>(cfg, paths) in STAGES as cmd_<name>(cfg), which checks the
+    reads, makes the output directory and adds "stage" and "out" (writes[0]) to the report."""
+
+    def register(body):
+        name = body.__name__.removeprefix("cmd_")
+
+        @functools.wraps(body)
+        def run(cfg: PipelineConfig) -> dict:
+            for rel in reads:
+                _require(cfg, rel(cfg) if callable(rel) else rel)
+            out = Path(cfg.workdir) / writes[0]
+            (out if writes[0].endswith("/") else out.parent).mkdir(parents=True, exist_ok=True)
+            return {"stage": name, **body(cfg, paths_for(cfg)), "out": str(out)}
+
+        STAGES[name] = Stage(run, reads, writes)
+        return run
+
+    return register
 
 
 # --- synth ---
 
 
-def cmd_synth(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    report = synth_generate(paths.raw, cfg.synth, cfg.window.length_samples)
-    report["stage"] = "synth"
-    report["out"] = str(paths.raw)
-    return report
+@_stage(writes=("raw/",))
+def cmd_synth(cfg: PipelineConfig, paths: Paths) -> dict:
+    return synth_generate(paths.raw, cfg.synth, cfg.window.length_samples)
 
 
 # --- preprocess ---
@@ -87,10 +126,8 @@ def _check_layout(sidecar: Path, rec, first) -> None:
             )
 
 
-def cmd_preprocess(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    if not paths.raw.exists():
-        raise MissingFile(f"{paths.raw} does not exist; run synth or point workdir at a dataset")
+@_stage(("raw/",), writes=("windows/",))
+def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
     subject_dirs = sorted(p for p in paths.raw.iterdir() if p.is_dir())
     if not subject_dirs:
         raise MissingFile(f"{paths.raw} contains no subject directories")
@@ -117,7 +154,6 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     splits = ds.split_windows(windows, cfg.split)
     split_of = {w.window_id: name for name, ws in splits.items() for w in ws}
 
-    paths.windows.mkdir(parents=True, exist_ok=True)
     records = []
     for w in sorted(windows, key=lambda w: w.window_id):
         fname = f"{w.window_id}.f32"
@@ -146,40 +182,32 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         "split_order": {name: [w.window_id for w in ws] for name, ws in splits.items()},
     }
     ds.write_json_object(paths.windows / "windows.json", manifest)
-    class_counts: dict[str, int] = {}
-    for r in records:
-        class_counts[r["emotion"]] = class_counts.get(r["emotion"], 0) + 1
     return {
-        "stage": "preprocess",
         "n_subjects": len(subject_dirs),
         "n_events": n_events,
         "n_windows": len(records),
         "skipped_events": n_events - len(windows),
         "split_counts": {name: len(ws) for name, ws in splits.items()},
-        "class_counts": class_counts,
-        "out": str(paths.windows),
+        "class_counts": dict(Counter(r["emotion"] for r in records)),
     }
 
 
 # --- augment ---
 
 
-def _load_windows(dir_path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    manifest = _read_json(dir_path / "windows.json")
-    n_channels = len(manifest["channel_names"])
-    window_len = manifest["window_len"]
-    data = {}
-    for record in manifest["windows"]:
-        data[record["id"]] = ds.read_window_file(
-            dir_path / record["file"], n_channels, window_len
-        )
+def _load_windows(manifest_path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    manifest = ds.read_json_object(manifest_path)
+    shape = (len(manifest["channel_names"]), manifest["window_len"])
+    data = {
+        r["id"]: ds.read_window_file(manifest_path.parent / r["file"], *shape)
+        for r in manifest["windows"]
+    }
     return manifest, data
 
 
-def cmd_augment(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    manifest, data = _load_windows(paths.windows)
-    paths.windows_noisy.mkdir(parents=True, exist_ok=True)
+@_stage(("windows/windows.json",), writes=("windows_noisy/",))
+def cmd_augment(cfg: PipelineConfig, paths: Paths) -> dict:
+    manifest, data = _load_windows(paths.windows / "windows.json")
     # Per-window seeds spawned from noise.seed are independent across windows
     # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
     seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
@@ -189,12 +217,7 @@ def cmd_augment(cfg: PipelineConfig) -> dict:
     manifest = dict(manifest)
     manifest["noise"] = asdict(cfg.noise)
     ds.write_json_object(paths.windows_noisy / "windows.json", manifest)
-    return {
-        "stage": "augment",
-        "n_windows": len(manifest["windows"]),
-        "max_magnitude": cfg.noise.max_magnitude,
-        "out": str(paths.windows_noisy),
-    }
+    return {"n_windows": len(manifest["windows"]), "max_magnitude": cfg.noise.max_magnitude}
 
 
 # --- entropy ---
@@ -207,10 +230,10 @@ def _profile_json(profile: EntropyProfile) -> dict:
     }
 
 
-def cmd_entropy(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
+@_stage(("windows/windows.json",), writes=("reports/entropy.json",))
+def cmd_entropy(cfg: PipelineConfig, paths: Paths) -> dict:
     manifest_path = paths.windows / "windows.json"
-    manifest = _read_json(manifest_path)
+    manifest = ds.read_json_object(manifest_path)
     params = cfg.entropy
     window_len = manifest["window_len"]
     if window_len // params.max_scale < params.m + 2:
@@ -219,6 +242,7 @@ def cmd_entropy(cfg: PipelineConfig) -> dict:
             f"of {manifest_path} to {window_len // params.max_scale} samples; "
             f"entropy.m {params.m} needs at least {params.m + 2}"
         )
+    _require(cfg, "windows_noisy/windows.json")
     names = manifest["channel_names"]
     records = sorted(manifest["windows"], key=lambda r: r["id"])[: params.n_windows]
     windows_out = []
@@ -249,14 +273,8 @@ def cmd_entropy(cfg: PipelineConfig) -> dict:
             "mean_delta": float(np.mean(deltas)),
         },
     }
-    paths.reports.mkdir(parents=True, exist_ok=True)
     ds.write_json_object(paths.reports / "entropy.json", report)
-    return {
-        "stage": "entropy",
-        "n_windows": len(records),
-        **report["summary"],
-        "out": str(paths.reports / "entropy.json"),
-    }
+    return {"n_windows": len(records), **report["summary"]}
 
 
 # --- featurize ---
@@ -310,14 +328,17 @@ def _write_smote_records(
     return records
 
 
-def cmd_featurize(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
+def _featurize_input(cfg: PipelineConfig) -> str:
+    """The manifest featurize reads: preprocess's windows or augment's noisy copies."""
+    return ("windows/" if cfg.featurize.source == "clean" else "windows_noisy/") + "windows.json"
+
+
+@_stage((_featurize_input,), writes=("features/",))
+def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
     source = cfg.featurize.source
-    src_dir = paths.windows if source == "clean" else paths.windows_noisy
-    manifest, data = _load_windows(src_dir)
+    manifest, data = _load_windows(Path(cfg.workdir) / _featurize_input(cfg))
     fs_hz = manifest["sample_rate_hz"]
 
-    paths.features.mkdir(parents=True, exist_ok=True)
     records = []
     matrices: dict[str, np.ndarray] = {}
     bin_freqs = None
@@ -372,12 +393,10 @@ def cmd_featurize(cfg: PipelineConfig) -> dict:
     }
     ds.write_json_object(paths.features / "manifest.json", feature_manifest)
     return {
-        "stage": "featurize",
         "source": source,
         "n_real": len(matrices),
         "n_synthetic": n_synth,
         "matrix_shape": [n_channels, n_bins],
-        "out": str(paths.features),
     }
 
 
@@ -420,11 +439,10 @@ TASKS = {
 }
 
 
-def cmd_train(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    manifest = _read_json(paths.features / "manifest.json")
-    paths.model.mkdir(parents=True, exist_ok=True)
-    report: dict = {"stage": "train"}
+@_stage(("features/manifest.json",), writes=("model/",))
+def cmd_train(cfg: PipelineConfig, paths: Paths) -> dict:
+    manifest = ds.read_json_object(paths.features / "manifest.json")
+    report = {}
     for task_key, (task, stem) in TASKS.items():
         by_split, n_classes = _task_items(paths.features, manifest, task)
         if not by_split["train"] or not by_split["val"]:
@@ -460,23 +478,22 @@ def cmd_train(cfg: PipelineConfig) -> dict:
             "final_val_acc": result.epoch_log[-1].val_acc,
             "checkpoint": str(paths.model / f"{stem}.ckpt"),
         }
-    report["out"] = str(paths.model)
     return report
 
 
 # --- eval ---
 
 
-def cmd_eval(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    manifest = _read_json(paths.features / "manifest.json")
+@_stage(
+    ("features/manifest.json", *(f"model/{stem}.ckpt" for _, stem in TASKS.values())),
+    writes=("reports/metrics.json",),
+)
+def cmd_eval(cfg: PipelineConfig, paths: Paths) -> dict:
+    manifest = ds.read_json_object(paths.features / "manifest.json")
     metrics: dict = {}
     times = []
     for task_key, (task, stem) in TASKS.items():
-        ckpt_path = paths.model / f"{stem}.ckpt"
-        if not ckpt_path.exists():
-            raise MissingFile(f"{ckpt_path} does not exist; run train first")
-        cnn_cfg, params, _meta = load_checkpoint(ckpt_path)
+        cnn_cfg, params, _meta = load_checkpoint(paths.model / f"{stem}.ckpt")
         by_split, n_classes = _task_items(paths.features, manifest, task)
         if n_classes != cnn_cfg.n_classes:
             raise ShapeMismatch(
@@ -487,34 +504,28 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         times.append(ms_per_batch)
         metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
     metrics["time_per_batch_ms"] = float(np.mean(times))
-    paths.reports.mkdir(parents=True, exist_ok=True)
     ds.write_json_object(paths.reports / "metrics.json", metrics)
-    return {"stage": "eval", **metrics, "out": str(paths.reports / "metrics.json")}
+    return metrics
 
 
 # --- stream ---
 
 
-def cmd_stream(cfg: PipelineConfig) -> dict:
-    paths = paths_for(cfg)
-    ckpt_path = paths.model / "task1_binary.ckpt"
-    if not ckpt_path.exists():
-        raise MissingFile(f"{ckpt_path} does not exist; run train first")
-    cnn_cfg, params, meta = load_checkpoint(ckpt_path)
-    subject_dir = paths.raw / cfg.stream.source_subject
+@_stage(
+    ("model/task1_binary.ckpt", "raw/"),
+    writes=("reports/interventions.jsonl", "reports/stream_timing.json"),
+)
+def cmd_stream(cfg: PipelineConfig, paths: Paths) -> dict:
+    cnn_cfg, params, meta = load_checkpoint(paths.model / "task1_binary.ckpt")
+    subject = cfg.stream.source_subject
+    subject_dir = _require(
+        cfg, f"raw/{subject}", f"stream.source_subject {subject!r} names no subject in {paths.raw}"
+    )
     rec, _events = ds.load_recording(subject_dir)
     realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
     spec = cfg.stream.spec(cfg.window.length_samples)
-    result = stream_classify(
-        rec,
-        realization,
-        cfg.psd,
-        params,
-        cnn_cfg,
-        tuple(meta.get("class_names", ds.BINARY_CLASS_NAMES)),
-        spec,
-    )
-    paths.reports.mkdir(parents=True, exist_ok=True)
+    class_names = tuple(meta.get("class_names", ds.BINARY_CLASS_NAMES))
+    result = stream_classify(rec, realization, cfg.psd, params, cnn_cfg, class_names, spec)
     _write_jsonl(
         paths.reports / "interventions.jsonl",
         (
@@ -539,11 +550,9 @@ def cmd_stream(cfg: PipelineConfig) -> dict:
         },
     )
     return {
-        "stage": "stream",
-        "subject": cfg.stream.source_subject,
+        "subject": subject,
         "n_windows": len(result.decisions),
         "n_events": len(result.events),
         "mean_proc_ms": result.mean_proc_ms,
         "budget_ms": budget_ms,
-        "out": str(paths.reports / "interventions.jsonl"),
     }

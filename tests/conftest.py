@@ -6,8 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every run draws the same examples: no random seed and no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 from affekt.dataset import EVENT_COLUMNS
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import affekt
+from affekt import pipeline
 from affekt.cli import main
 from affekt.config import (
     MODEL_PRESETS,
@@ -217,13 +218,78 @@ def test_readme_config_block_matches_defaults():
     assert json.loads(block) == default_config_dict("runs/demo")
 
 
-def test_stage_before_inputs_exist(capsys, tmp_path):
+def test_readme_stage_table_matches_pipeline_stages():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"Stages, in pipeline order:\n\n(.*?)\n\n", readme, re.S).group(1)
+    rows = [[cell.strip() for cell in row.strip("|").split("|")] for row in table.splitlines()[2:]]
+    assert [row[0].strip("`") for row in rows] == list(pipeline.STAGES)
+    cfgs = [config_from_dict({"workdir": "w", "featurize": {"source": source}})
+            for source in ("clean", "augmented")]
+    for (_, reads, writes), stage in zip(rows, pipeline.STAGES.values()):
+        declared = {rel(cfg) if callable(rel) else rel for rel in stage.reads for cfg in cfgs}
+        assert all(f"`{rel}`" in reads for rel in declared), (reads, declared)
+        assert all(f"`{rel}`" in writes for rel in stage.writes), (writes, stage.writes)
+
+
+@pytest.mark.parametrize(
+    "stage, present, missing, producer",
+    [
+        ("preprocess", (), "raw", "synth"),
+        ("augment", (), "windows/windows.json", "preprocess"),
+        ("entropy", (), "windows/windows.json", "preprocess"),
+        ("featurize", (), "windows/windows.json", "preprocess"),
+        ("train", (), "features/manifest.json", "featurize"),
+        ("eval", (), "features/manifest.json", "featurize"),
+        ("eval", ("features/manifest.json", "model/task1_binary.ckpt"),
+         "model/task2_categorical.ckpt", "train"),
+        ("stream", (), "model/task1_binary.ckpt", "train"),
+    ],
+    ids=["preprocess", "augment", "entropy", "featurize", "train", "eval", "eval-task1-only",
+         "stream"],
+)
+def test_stage_before_inputs_exist(capsys, tmp_path, stage, present, missing, producer):
     path = tiny_config(tmp_path)
-    code, _, err = run_cli(["featurize", "--config", str(path)], capsys)
+    run_dir = tmp_path / "run"
+    for rel in present:  # only their existence is checked before the stage starts
+        (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+        (run_dir / rel).write_text("{}")
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "MissingFile"
     assert "stage" in payload["message"]  # tells the user what to run first
+    hint = f"run the {producer} stage first"
+    if producer == "synth":
+        hint += " or point workdir at a dataset"
+    assert payload["message"] == f"{run_dir / missing} does not exist; {hint}"
+
+
+def test_entropy_before_augment_names_augment(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    code, _, err = run_cli(["entropy", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "MissingFile"
+    assert str(tmp_path / "run" / "windows_noisy" / "windows.json") in payload["message"]
+    assert "run the augment stage first" in payload["message"]
+    assert not (tmp_path / "run" / "reports" / "entropy.json").exists()
+
+
+def test_stream_source_subject_without_a_subject_names_the_key(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "featurize", "train"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    path = tiny_config(tmp_path, stream={"source_subject": "sub-999"})
+    code, _, err = run_cli(["stream", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "MissingFile"
+    assert "stream.source_subject 'sub-999'" in payload["message"]
+    assert not (tmp_path / "run" / "reports" / "interventions.jsonl").exists()
 
 
 def test_synth_preprocess_featurize_chain(capsys, tmp_path):
