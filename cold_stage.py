@@ -1,7 +1,7 @@
-"""Fresh-process `affekt train`, `entropy` or `featurize` runs of two trees, paired.
+"""Fresh-process runs of one CLI stage from two trees, paired.
 
     python3 cold_stage.py --parent OLD_TREE --change NEW_TREE --workdir DIR \
-        [--stage train|entropy|featurize] [--preset cnn-small] [--repeats 3]
+        [--stage train|preprocess|augment|entropy|featurize] [--preset cnn-small] [--repeats 3]
 
 Each tree is a source checkout (its src/ is put on PYTHONPATH). The stage's
 inputs are built once with the change's tree and shared by both trees:
@@ -9,18 +9,19 @@ inputs are built once with the change's tree and shared by both trees:
 - train: the acceptance end-to-end cohort (40 subjects x 8 events x 128
   channels, synth seed 101, 100 epochs, as in tests/test_acceptance.py)
   through synth, preprocess and featurize; --preset picks the model.
+- preprocess, augment, featurize: the same cohort through synth (and
+  preprocess, for augment and featurize).
 - entropy: the default config with 128 channels through synth, preprocess
   and augment.
-- featurize: the default config with 128 channels through synth and
-  preprocess.
 
 Each timed run then starts a new interpreter, as the CLI stage does, with one
 BLAS thread. Wall time comes from perf_counter around the child; user and
 system time, minor faults and max RSS come from the child's own rusage
 (os.wait4, the figures getrusage(RUSAGE_CHILDREN) reports for one child). The
 trees alternate which runs first, and after every pair the stage's artifacts
-of both (checkpoints and epoch logs; reports/entropy.json; every file under
-features/) are compared byte for byte. Prints one JSON object.
+of both (checkpoints and epoch logs; every file under windows/,
+windows_noisy/ or features/; reports/entropy.json) are compared byte for
+byte. Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -34,18 +35,31 @@ import sys
 import time
 from pathlib import Path
 
+E2E_COHORT = {"n_subjects": 40, "events_per_subject": 8, "channels": 128, "fs_hz": 512.0,
+              "seed": 101}
+
 STAGES = {
     "train": {
-        "config": {
-            "synth": {"n_subjects": 40, "events_per_subject": 8, "channels": 128,
-                      "fs_hz": 512.0, "seed": 101},
-            "train": {"max_epochs": 100},
-        },
+        "config": {"synth": E2E_COHORT, "train": {"max_epochs": 100}},
         "inputs": ("synth", "preprocess", "featurize"),
         "ready": "features/manifest.json",
         "shared": ("features",),
         "artifacts": ("model/task1_binary.ckpt", "model/task2_categorical.ckpt",
                       "model/task1_binary_log.jsonl", "model/task2_categorical_log.jsonl"),
+    },
+    "preprocess": {
+        "config": {"synth": E2E_COHORT},
+        "inputs": ("synth",),
+        "ready": "raw/sub-040/events.tsv",  # the last file synth writes
+        "shared": ("raw",),
+        "artifacts": ("windows",),
+    },
+    "augment": {
+        "config": {"synth": E2E_COHORT},
+        "inputs": ("synth", "preprocess"),
+        "ready": "windows/windows.json",
+        "shared": ("windows",),
+        "artifacts": ("windows_noisy",),
     },
     "entropy": {
         "config": {"synth": {"channels": 128}},
@@ -55,7 +69,7 @@ STAGES = {
         "artifacts": ("reports/entropy.json",),
     },
     "featurize": {
-        "config": {"synth": {"channels": 128}},
+        "config": {"synth": E2E_COHORT},
         "inputs": ("synth", "preprocess"),
         "ready": "windows/windows.json",
         "shared": ("windows",),

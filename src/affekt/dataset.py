@@ -33,6 +33,7 @@ from .errors import (
     MalformedEvent,
     MissingFile,
     NonFiniteSample,
+    PayloadSizeMismatch,
     ShapeMismatch,
 )
 from .signals import Recording
@@ -74,7 +75,7 @@ class ClassLabel:
 class LabeledWindow:
     window_id: str
     subject_id: str
-    data: np.ndarray
+    data: np.ndarray | None  # None once the window is written out
     label: ClassLabel
     emotion: str
     rating: float
@@ -226,7 +227,7 @@ def extract_windows(
     table: dict[str, int],
     spec: WindowSpec = WindowSpec(),
 ) -> list[LabeledWindow]:
-    """Fixed-length windows at each event onset; short events are skipped."""
+    """Fixed-length windows at each event onset, as views of rec.data; short events are skipped."""
     windows = []
     skipped = 0
     for idx, ev in enumerate(events):
@@ -238,7 +239,7 @@ def extract_windows(
             LabeledWindow(
                 window_id=f"{rec.subject_id}-e{idx:03d}",
                 subject_id=rec.subject_id,
-                data=rec.data[:, start:start + spec.length_samples].copy(),
+                data=rec.data[:, start:start + spec.length_samples],
                 label=label_from_ratings(ev, table, spec),
                 emotion=ev.emotion,
                 rating=spec.rating(ev),
@@ -412,7 +413,7 @@ def write_window_file(path, data: np.ndarray) -> None:
 def _read_f32(path, n_channels: int, n_samples: int, shape_from: str) -> np.ndarray:
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != n_channels * n_samples:
-        raise ShapeMismatch(
+        raise PayloadSizeMismatch(
             f"{path}: {raw.size} floats on disk, {shape_from} says {n_channels}x{n_samples}"
         )
     return raw.reshape(n_channels, n_samples)

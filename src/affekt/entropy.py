@@ -180,10 +180,10 @@ def add_gaussian_noise(window, spec: NoiseSpec) -> np.ndarray:
     x = np.asarray(window, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
     delta = rng.normal(0.0, spec.sigma, size=x.shape)
-    mask = np.abs(delta) > spec.max_magnitude
-    while np.any(mask):
-        delta[mask] = rng.normal(0.0, spec.sigma, size=int(mask.sum()))
-        mask = np.abs(delta) > spec.max_magnitude
+    bad = np.flatnonzero(np.abs(delta) > spec.max_magnitude)
+    while bad.size:  # only those still out of range are drawn again, in flat order
+        np.put(delta, bad, rng.normal(0.0, spec.sigma, size=bad.size))
+        bad = bad[np.abs(delta.flat[bad]) > spec.max_magnitude]
     return x + delta
 
 

@@ -73,6 +73,10 @@ class ShapeMismatch(AffektError):
     """Array payload size disagrees with its declared shape."""
 
 
+class PayloadSizeMismatch(ShapeMismatch, UsageError):
+    """A float32 payload file on disk is not the size its sidecar or manifest declares."""
+
+
 class MalformedEvent(UsageError):
     """An events table row is unparseable; message names the row."""
 

@@ -25,7 +25,7 @@ matrix, close to the 2 MiB per-core L2 of the Xeon the budget was measured on.
 
 The buffers live in a Workspace, one set per conv block: the patch matrix,
 the conv output (which the ReLU mask later turns into dpre), the residual
-sum, the patch-matrix gradient and col2im's scatter index. training.train
+sum, the patch-matrix gradient and col2im's scatter matrix. training.train
 makes one per run and stream_classify one per run; a call without one makes
 its own. Reused buffers keep glibc's malloc from giving each micro-batch's
 memory back to the system and faulting it in again, which cost a fresh CLI
@@ -33,7 +33,7 @@ train process ~12.5 M minor faults and ~20 s of system time. The bits are
 those of a padded-copy im2col and a nine-tap += col2im: each tap copies its
 in-image rectangle and the padding entries stay the zeros they were made
 with, the GEMMs write through column slices of the same shapes, and col2im's
-one bincount adds each pixel's taps in the same (u, v) order from 0.0. A
+sparse product adds each pixel's taps in the same (u, v) order from 0.0. A
 network whose whole batch fits is not split, and its results are bit for bit
 those of one pass.
 """
@@ -178,7 +178,7 @@ class _Conv:
         self.skip = (np.empty((block.out_width, samples, self.ho, self.wo))
                      if block.residual else None)
         self.dcols = None if first else np.empty((c * 9, n_cols))
-        self.col2im_index: dict[int, np.ndarray] = {}
+        self.col2im_scatter: dict = {}
 
     def im2col(self, a: np.ndarray) -> np.ndarray:
         """(C, b, H, W) -> the (C*9, b*Ho*Wo) patch matrix of a 3x3, pad-1 conv."""
@@ -191,22 +191,25 @@ class _Conv:
     def col2im(self, dcols: np.ndarray, b: int) -> np.ndarray:
         """Sum the patch-matrix gradient back onto a (C, b, H, W) input.
 
-        One bincount over dcols in its own order: each pixel adds its taps in
-        (u, v) order starting from 0.0, as a loop of nine shifted += would.
-        Entries that fall on the padding go to one spare slot past the end.
+        One product with a 0/1 CSR scatter matrix: a row per input pixel, a
+        column per entry of dcols in its flat order, and no entry for a tap
+        on the padding. scipy sums each row from 0.0 in column order, so each
+        pixel adds its taps in (u, v) order, as a loop of nine shifted += would.
         """
         c, h, w = self.in_shape
-        pixels = c * b * h * w
-        index = self.col2im_index.get(b)
-        if index is None:
-            index = np.full((c, 3, 3, b, self.ho, self.wo), pixels, dtype=np.intp)
-            image = np.arange(pixels).reshape(c, b, h, w)
+        scatter = self.col2im_scatter.get(b)
+        if scatter is None:
+            from scipy import sparse  # here, so a process that only runs forward never loads it
+            # int32 indices: the product ran a fifth faster than with int64
+            index = np.full((c, 3, 3, b, self.ho, self.wo), -1, dtype=np.int32)
+            image = np.arange(c * b * h * w, dtype=np.int32).reshape(c, b, h, w)
             for dst, src in self.taps:
                 index[dst] = image[src]
-            index = self.col2im_index[b] = index.ravel()
-        dx = np.bincount(index, weights=dcols.ravel(), minlength=pixels + 1)
-        # with no weights at all (an empty micro-batch) bincount counts in integers
-        return dx[:pixels].reshape(c, b, h, w).astype(np.float64, copy=False)
+            taps = np.flatnonzero(index.ravel() >= 0).astype(np.int32)
+            scatter = self.col2im_scatter[b] = sparse.csr_array(
+                (np.ones(taps.size), (index.ravel()[taps], taps)), shape=(image.size, index.size)
+            )
+        return (scatter @ dcols.ravel()).reshape(c, b, h, w)
 
 
 class Workspace:
@@ -314,7 +317,8 @@ def _backprop(
         w = params[f"conv{idx}.w"]
         # the ReLU mask turns the activation's buffer into dpre; da stays
         # whole for a residual block's skip path
-        dpre_mat = np.multiply(da, act > 0.0, out=act).reshape(block.out_width, -1)
+        np.greater(act, 0.0, out=act)
+        dpre_mat = np.multiply(da, act, out=act).reshape(block.out_width, -1)
         grads[f"conv{idx}.w"] = (dpre_mat @ cols.T).reshape(w.shape)
         grads[f"conv{idx}.b"] = dpre_mat.sum(axis=1)
         if idx == 0:

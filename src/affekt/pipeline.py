@@ -45,6 +45,10 @@ from .stream import stream_classify
 from .synth import synth_generate
 from .training import evaluate, train
 
+# preprocess filters and scores a recording in blocks of rows of at most this many
+# float64 bytes; each row is filtered and scored alone, so blocks keep the bits
+_ROW_BLOCK_BYTES = 2 << 20
+
 
 def _write_jsonl(path: Path, rows) -> None:
     """One JSON object per line, keys sorted."""
@@ -131,24 +135,28 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
     subject_dirs = sorted(p for p in paths.raw.iterdir() if p.is_dir())
     if not subject_dirs:
         raise MissingFile(f"{paths.raw} contains no subject directories")
+    (paths.windows / "windows.json").unlink(missing_ok=True)
 
     table: dict[str, int] = {}
-    windows: list[ds.LabeledWindow] = []
+    windows: list[ds.LabeledWindow] = []  # metadata only; each window's data is on disk
     n_events = 0
     first = None
     for subject_dir in subject_dirs:
         rec, events = ds.load_recording(subject_dir)
         if first is None:
-            first = rec
+            first = replace(rec, data=np.empty((rec.n_channels, 0)))  # its layout only
             realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
         else:
             _check_layout(subject_dir / "eeg.json", rec, first)
+        rows = max(1, _ROW_BLOCK_BYTES // (8 * max(rec.n_samples, 1)))
         try:
-            filtered = filter_array(realization, rec.data)
+            for block in np.split(rec.data, range(rows, rec.n_channels, rows)):
+                block[...] = zscore_array(filter_array(realization, block))
         except RecordingTooShort as exc:
             raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
-        cleaned = replace(rec, data=zscore_array(filtered))
-        windows.extend(ds.extract_windows(cleaned, events, table, cfg.window))
+        for w in ds.extract_windows(rec, events, table, cfg.window):
+            ds.write_window_file(paths.windows / f"{w.window_id}.f32", w.data)
+            windows.append(replace(w, data=None))
         n_events += len(events)
 
     splits = ds.split_windows(windows, cfg.split)
@@ -156,12 +164,10 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
 
     records = []
     for w in sorted(windows, key=lambda w: w.window_id):
-        fname = f"{w.window_id}.f32"
-        ds.write_window_file(paths.windows / fname, w.data)
         records.append(
             {
                 "id": w.window_id,
-                "file": fname,
+                "file": f"{w.window_id}.f32",
                 "subject_id": w.subject_id,
                 "categorical": w.label.categorical,
                 "binary": None if w.label.binary is None else w.label.binary.value,
@@ -195,26 +201,23 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
 # --- augment ---
 
 
-def _load_windows(manifest_path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+def _window_source(manifest_path: Path) -> tuple[dict, Callable[[dict], np.ndarray]]:
+    """The window manifest at manifest_path, and a reader of one record's window."""
     manifest = ds.read_json_object(manifest_path)
     shape = (len(manifest["channel_names"]), manifest["window_len"])
-    data = {
-        r["id"]: ds.read_window_file(manifest_path.parent / r["file"], *shape)
-        for r in manifest["windows"]
-    }
-    return manifest, data
+    return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
 
 
 @_stage(("windows/windows.json",), writes=("windows_noisy/",))
 def cmd_augment(cfg: PipelineConfig, paths: Paths) -> dict:
-    manifest, data = _load_windows(paths.windows / "windows.json")
+    manifest, read = _window_source(paths.windows / "windows.json")
+    (paths.windows_noisy / "windows.json").unlink(missing_ok=True)
     # Per-window seeds spawned from noise.seed are independent across windows
     # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
     seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
     for record, seed in zip(manifest["windows"], seeds):
-        noisy = add_gaussian_noise(data[record["id"]], replace(cfg.noise, seed=int(seed)))
+        noisy = add_gaussian_noise(read(record), replace(cfg.noise, seed=int(seed)))
         ds.write_window_file(paths.windows_noisy / record["file"], noisy)
-    manifest = dict(manifest)
     manifest["noise"] = asdict(cfg.noise)
     ds.write_json_object(paths.windows_noisy / "windows.json", manifest)
     return {"n_windows": len(manifest["windows"]), "max_magnitude": cfg.noise.max_magnitude}
@@ -336,17 +339,16 @@ def _featurize_input(cfg: PipelineConfig) -> str:
 @_stage((_featurize_input,), writes=("features/",))
 def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
     source = cfg.featurize.source
-    manifest, data = _load_windows(Path(cfg.workdir) / _featurize_input(cfg))
+    manifest, read = _window_source(Path(cfg.workdir) / _featurize_input(cfg))
+    (paths.features / "manifest.json").unlink(missing_ok=True)
     fs_hz = manifest["sample_rate_hz"]
 
     records = []
-    matrices: dict[str, np.ndarray] = {}
-    bin_freqs = None
+    matrices: dict[str, np.ndarray] = {}  # the train windows', which SMOTE interpolates
     for record in manifest["windows"]:
-        values, freqs = psd_feature_values(data[record["id"]], fs_hz, cfg.psd)
-        if bin_freqs is None:
-            bin_freqs = freqs
-        matrices[record["id"]] = values
+        values, bin_freqs = psd_feature_values(read(record), fs_hz, cfg.psd)
+        if record["split"] == "train":
+            matrices[record["id"]] = values
         fname = f"{record['id']}.eegf"
         write_feature_file(paths.features / fname, values, record["categorical"])
         records.append(
@@ -362,7 +364,7 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
             }
         )
 
-    n_channels, n_bins = next(iter(matrices.values())).shape
+    n_channels, n_bins = values.shape
     train_ids = manifest["split_order"]["train"]
     by_id = {r["id"]: r for r in records}
     n_synth = {}
@@ -394,7 +396,7 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
     ds.write_json_object(paths.features / "manifest.json", feature_manifest)
     return {
         "source": source,
-        "n_real": len(matrices),
+        "n_real": len(manifest["windows"]),
         "n_synthetic": n_synth,
         "matrix_shape": [n_channels, n_bins],
     }
@@ -540,10 +542,14 @@ def cmd_stream(cfg: PipelineConfig, paths: Paths) -> dict:
         ),
     )
     budget_ms = spec.hop_samples / rec.sample_rate_hz * 1e3
+    p50, p95 = np.percentile([d.proc_ms for d in result.decisions], [50, 95])
     ds.write_json_object(
         paths.reports / "stream_timing.json",
         {
             "mean_proc_ms": result.mean_proc_ms,
+            "p50_proc_ms": float(p50),
+            "p95_proc_ms": float(p95),
+            "first_proc_ms": result.decisions[0].proc_ms,
             "budget_ms": budget_ms,
             "n_windows": len(result.decisions),
             "realtime_ok": result.mean_proc_ms < budget_ms,

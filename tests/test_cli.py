@@ -292,6 +292,87 @@ def test_stream_source_subject_without_a_subject_names_the_key(capsys, tmp_path)
     assert not (tmp_path / "run" / "reports" / "interventions.jsonl").exists()
 
 
+def test_stream_timing_reports_window_percentiles(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "featurize", "train", "stream"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    timing = json.loads((tmp_path / "run" / "reports" / "stream_timing.json").read_text())
+    assert sorted(timing) == ["budget_ms", "first_proc_ms", "mean_proc_ms", "n_windows",
+                              "p50_proc_ms", "p95_proc_ms", "realtime_ok"]
+    assert timing["n_windows"] > 1
+    assert 0 < timing["p50_proc_ms"] <= timing["p95_proc_ms"]
+    assert timing["first_proc_ms"] > 0
+
+
+@pytest.mark.parametrize(
+    "stage, writes, consumer",
+    [("preprocess", "windows/windows.json", "featurize"),
+     ("augment", "windows_noisy/windows.json", "entropy"),
+     ("featurize", "features/manifest.json", "train")],
+)
+def test_failed_rerun_leaves_no_manifest(capsys, tmp_path, stage, writes, consumer):
+    # window and feature files are written one by one before the manifest, so
+    # a rerun that fails part way must not leave the last run's manifest
+    # beside its new files for the next stage to read
+    path = tiny_config(tmp_path)
+    for name in ("synth", "preprocess", stage):
+        assert run_cli([name, "--config", str(path)], capsys)[0] == 0
+    run_dir = tmp_path / "run"
+    if stage == "preprocess":
+        damaged = run_dir / "raw" / "sub-005" / "eeg.f32"  # a later subject's recording
+    else:
+        records = json.loads((run_dir / "windows" / "windows.json").read_text())["windows"]
+        damaged = run_dir / "windows" / records[-1]["file"]  # read after every other window
+    damaged.write_bytes(damaged.read_bytes()[:-8])
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "PayloadSizeMismatch"
+    assert str(damaged) in payload["message"]
+    assert not (run_dir / writes).exists()
+    code, _, err = run_cli([consumer, "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "MissingFile"
+    assert payload["message"] == f"{run_dir / writes} does not exist; run the {stage} stage first"
+
+
+def test_window_stage_peaks_do_not_grow_with_the_cohort(tmp_path):
+    # preprocess, augment and featurize hold one recording or one window at a
+    # time, so doubling the cohort adds far less to their peaks than the
+    # float64 windows it adds. featurize keeps the train windows' feature
+    # matrices for SMOTE, each 1500 / 128 times smaller than its window, and
+    # SMOTE copies them about twice.
+    import tracemalloc
+
+    stages = ("preprocess", "augment", "featurize")
+    cfgs = {}
+    for n_subjects in (4, 8):
+        synth = {"n_subjects": n_subjects, "events_per_subject": 8, "channels": 4, "seed": 11}
+        out = tmp_path / f"n{n_subjects}"
+        cfgs[n_subjects] = load_config(tiny_config(tmp_path, synth=synth), out_override=out)
+        pipeline.cmd_synth(cfgs[n_subjects])
+    for stage in stages:  # imports and caches are not part of the peaks compared
+        getattr(pipeline, f"cmd_{stage}")(cfgs[4])
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for n_subjects, cfg in cfgs.items():
+            for stage in stages:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                getattr(pipeline, f"cmd_{stage}")(cfg)
+                peaks[stage, n_subjects] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    window_bytes = 4 * 1500 * 8
+    added = 4 * 8  # windows the second cohort adds; the tiny config skips no event
+    for stage, share in zip(stages, (0.1, 0.1, 0.5)):
+        growth = peaks[stage, 8] - peaks[stage, 4]
+        assert growth < share * added * window_bytes, (stage, growth, peaks)
+
+
 def test_synth_preprocess_featurize_chain(capsys, tmp_path):
     path = tiny_config(tmp_path)
     for stage in ("synth", "preprocess", "featurize"):
@@ -520,6 +601,20 @@ def test_subject_too_short_to_filter_named_at_preprocess(capsys, tmp_path):
     assert payload["error"] == "RecordingTooShort"
     assert str(subject) in payload["message"]
     assert "padlen=27 samples, got 20" in payload["message"]
+
+
+def test_subject_with_no_samples_named_at_preprocess(capsys, tmp_path):
+    # preprocess sizes its row blocks from the recording's length
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    subject = tmp_path / "run" / "raw" / "sub-003"
+    _rewrite_sidecar(subject, n_samples=0)
+    (subject / "eeg.f32").write_bytes(b"")
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "RecordingTooShort"
+    assert f"{subject}: filtering needs more than padlen=27 samples, got 0" in payload["message"]
 
 
 @pytest.mark.parametrize("layout", ["missing_channel", "reversed_channels", "sample_rate"])

@@ -249,7 +249,7 @@ def einsum_backward(params, blocks, x, onehot):
 @pytest.mark.parametrize("extent", [(1, 1), (2, 3), (7, 10), (9, 5), (32, 128)])
 def test_im2col_col2im_equal_padded_copy_references(extent, stride):
     # bit for bit, signed zeros included: in-image tap copies into a buffer
-    # zeroed once, and one bincount in place of nine shifted +=
+    # zeroed once, and one sparse scatter product in place of nine shifted +=
     c, b = 3, 2
     h, w = extent
     conv = nn._Conv(BlockSpec(4, stride), c, h, w, samples=b + 1, first=False)
