@@ -21,7 +21,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, read_json_object
 from .entropy import EntropyParams, NoiseSpec
@@ -152,17 +151,6 @@ class PipelineConfig:
 _SECTIONS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "workdir")
 
 
-class Paths(NamedTuple):
-    """The stage directories under the workdir."""
-
-    raw: Path
-    windows: Path
-    windows_noisy: Path
-    features: Path
-    model: Path
-    reports: Path
-
-
 # Value types a key accepts, by its default's type; other keys are left to the section's rules.
 _TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
@@ -228,10 +216,6 @@ def apply_seed_override(cfg: PipelineConfig, seed: int) -> None:
     """Rewrite every stage seed as seed + fixed offset."""
     for offset, name in enumerate(("synth", "noise", "smote", "split", "model", "train"), 1):
         setattr(cfg, name, _build_section(getattr(cfg, name), {"seed": seed + offset}, name))
-
-
-def paths_for(cfg: PipelineConfig) -> Paths:
-    return Paths(*(Path(cfg.workdir) / name for name in Paths._fields))
 
 
 def default_config_dict(workdir: str = "runs/demo") -> dict:

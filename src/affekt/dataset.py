@@ -91,6 +91,8 @@ def read_json_object(path: Path) -> dict:
     """Parse a file holding one JSON object; InvalidFormat names the file if it does not."""
     if not path.exists():
         raise MissingFile(f"{path} does not exist")
+    if not path.is_file():
+        raise InvalidFormat(f"{path} is not a file")
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)

@@ -57,6 +57,10 @@ class MissingFile(UsageError):
     """A required file or directory does not exist."""
 
 
+class StaleArtifact(UsageError):
+    """An artifact was made from other inputs or settings than the ones now given."""
+
+
 class InvalidFormat(UsageError):
     """A binary artifact has a bad magic, version, or truncated payload."""
 

@@ -112,14 +112,21 @@ def welch_setup(fs_hz: float, spec: PsdSpec) -> tuple[int, int, np.ndarray, np.n
     return seg, hop, win, grid
 
 
-def _welch(
-    x, fs_hz: float, spec: PsdSpec, max_freq_hz: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Welch densities along the last axis of the bins 0 < f <= max_freq_hz.
+def kept_bins(fs_hz: float, spec: PsdSpec) -> int:
+    """How many bins (0 < f <= max_freq_hz) a feature matrix at fs_hz keeps; EmptyBand if none."""
+    seg, _, _, grid = welch_setup(fs_hz, spec)
+    n = int(np.searchsorted(grid, spec.max_freq_hz, side="right")) - 1
+    if n < 1:
+        raise EmptyBand(
+            f"psd.max_freq_hz {spec.max_freq_hz} keeps no frequency bin: segment_len {seg} "
+            f"at {fs_hz} Hz spaces the bins fs/seg = {fs_hz / seg} Hz apart"
+        )
+    return n
 
-    max_freq_hz=None keeps every bin, DC included. Only the kept bins are
-    squared, doubled and averaged; EmptyBand when none is kept.
-    """
+
+def _welch(x, fs_hz: float, spec: PsdSpec, band: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Welch densities along the last axis: of every bin, DC included, or of the
+    kept_bins band only. Only the returned bins are squared, doubled and averaged."""
     from scipy import fft as spfft
 
     x = np.asarray(x, dtype=np.float64)
@@ -127,15 +134,7 @@ def _welch(
     if x.shape[-1] < seg:
         raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
     n_bins = len(grid)
-    if max_freq_hz is None:
-        lo, hi = 0, n_bins
-    else:
-        lo, hi = 1, int(np.searchsorted(grid, max_freq_hz, side="right"))
-        if hi <= lo:
-            raise EmptyBand(
-                f"psd.max_freq_hz {max_freq_hz} keeps no frequency bin: segment_len {seg} "
-                f"at {fs_hz} Hz spaces the bins fs/seg = {fs_hz / seg} Hz apart"
-            )
+    lo, hi = (1, 1 + kept_bins(fs_hz, spec)) if band else (0, n_bins)
     segs = sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
     segs = segs - segs.mean(axis=-1, keepdims=True)
     segs *= win
@@ -158,7 +157,7 @@ def welch_psd(x, fs_hz: float, spec: PsdSpec = PsdSpec()) -> tuple[np.ndarray, n
     Densities satisfy Parseval up to window effects: sum(psd) * df
     approximates each series' variance.
     """
-    return _welch(x, fs_hz, spec, None)
+    return _welch(x, fs_hz, spec, False)
 
 
 def psd_feature_values(
@@ -175,7 +174,7 @@ def psd_feature_values(
         raise NyquistExceeded(
             f"max_freq_hz {spec.max_freq_hz} exceeds Nyquist {fs_hz / 2.0}"
         )
-    freqs, psd = _welch(data, fs_hz, spec, spec.max_freq_hz)
+    freqs, psd = _welch(data, fs_hz, spec, True)
     logp = np.log(psd + LOG_FLOOR)
     # one mean pass: sigma by numpy std's own steps on the centred matrix
     centred = logp - logp.mean()

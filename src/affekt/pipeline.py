@@ -2,7 +2,8 @@
 
 STAGES lists the stages in pipeline order with the workdir paths each one
 reads and writes (see _stage); a stage reads only artifacts of earlier stages
-plus the config.
+plus the config. The runner hands each stage body the paths it checked, so a
+body opens its declared inputs and outputs by those paths and builds none.
 
 Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except wall-clock timing fields,
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import Paths, PipelineConfig, paths_for
+from .config import PipelineConfig
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
 from .errors import (
     EmptyEvaluationSet,
@@ -36,9 +37,9 @@ from .errors import (
     MissingFile,
     RecordingTooShort,
     ScaleTooLarge,
-    ShapeMismatch,
+    StaleArtifact,
 )
-from .features import psd_feature_values, read_feature_file, write_feature_file
+from .features import kept_bins, psd_feature_values, read_feature_file, write_feature_file
 from .nn import CnnConfig
 from .signals import design_filter, filter_array, zscore_array
 from .stream import stream_classify
@@ -85,19 +86,20 @@ def _require(cfg: PipelineConfig, rel: str, hint: str = "") -> Path:
 
 
 def _stage(reads: tuple = (), *, writes: tuple[str, ...]):
-    """Register cmd_<name>(cfg, paths) in STAGES as cmd_<name>(cfg), which checks the
-    reads, makes the output directory and adds "stage" and "out" (writes[0]) to the report."""
+    """Register cmd_<name>(cfg, *reads, *writes) in STAGES as cmd_<name>(cfg), which checks
+    the reads, makes the output directory, hands the body the workdir path of each read and
+    write in declared order and adds "stage" and "out" (writes[0]) to the report."""
 
     def register(body):
         name = body.__name__.removeprefix("cmd_")
 
         @functools.wraps(body)
         def run(cfg: PipelineConfig) -> dict:
-            for rel in reads:
-                _require(cfg, rel(cfg) if callable(rel) else rel)
-            out = Path(cfg.workdir) / writes[0]
+            inputs = [_require(cfg, rel(cfg) if callable(rel) else rel) for rel in reads]
+            outputs = [Path(cfg.workdir) / rel for rel in writes]
+            out = outputs[0]
             (out if writes[0].endswith("/") else out.parent).mkdir(parents=True, exist_ok=True)
-            return {"stage": name, **body(cfg, paths_for(cfg)), "out": str(out)}
+            return {"stage": name, **body(cfg, *inputs, *outputs), "out": str(out)}
 
         STAGES[name] = Stage(run, reads, writes)
         return run
@@ -109,8 +111,8 @@ def _stage(reads: tuple = (), *, writes: tuple[str, ...]):
 
 
 @_stage(writes=("raw/",))
-def cmd_synth(cfg: PipelineConfig, paths: Paths) -> dict:
-    return synth_generate(paths.raw, cfg.synth, cfg.window.length_samples)
+def cmd_synth(cfg: PipelineConfig, raw: Path) -> dict:
+    return synth_generate(raw, cfg.synth, cfg.window.length_samples)
 
 
 # --- preprocess ---
@@ -131,11 +133,11 @@ def _check_layout(sidecar: Path, rec, first) -> None:
 
 
 @_stage(("raw/",), writes=("windows/",))
-def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
-    subject_dirs = sorted(p for p in paths.raw.iterdir() if p.is_dir())
+def cmd_preprocess(cfg: PipelineConfig, raw: Path, windows_dir: Path) -> dict:
+    subject_dirs = sorted(p for p in raw.iterdir() if p.is_dir())
     if not subject_dirs:
-        raise MissingFile(f"{paths.raw} contains no subject directories")
-    (paths.windows / "windows.json").unlink(missing_ok=True)
+        raise MissingFile(f"{raw} contains no subject directories")
+    (windows_dir / "windows.json").unlink(missing_ok=True)
 
     table: dict[str, int] = {}
     windows: list[ds.LabeledWindow] = []  # metadata only; each window's data is on disk
@@ -155,7 +157,7 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
         except RecordingTooShort as exc:
             raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
         for w in ds.extract_windows(rec, events, table, cfg.window):
-            ds.write_window_file(paths.windows / f"{w.window_id}.f32", w.data)
+            ds.write_window_file(windows_dir / f"{w.window_id}.f32", w.data)
             windows.append(replace(w, data=None))
         n_events += len(events)
 
@@ -187,7 +189,7 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
         "windows": records,
         "split_order": {name: [w.window_id for w in ws] for name, ws in splits.items()},
     }
-    ds.write_json_object(paths.windows / "windows.json", manifest)
+    ds.write_json_object(windows_dir / "windows.json", manifest)
     return {
         "n_subjects": len(subject_dirs),
         "n_events": n_events,
@@ -201,25 +203,26 @@ def cmd_preprocess(cfg: PipelineConfig, paths: Paths) -> dict:
 # --- augment ---
 
 
-def _window_source(manifest_path: Path) -> tuple[dict, Callable[[dict], np.ndarray]]:
-    """The window manifest at manifest_path, and a reader of one record's window."""
-    manifest = ds.read_json_object(manifest_path)
+def _window_source(manifest_path: Path, manifest: dict | None = None) -> tuple[dict, Callable]:
+    """The window manifest at manifest_path, and a reader of one record's window there;
+    a given manifest stands in for the file, whose windows have its shape."""
+    manifest = ds.read_json_object(manifest_path) if manifest is None else manifest
     shape = (len(manifest["channel_names"]), manifest["window_len"])
     return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
 
 
 @_stage(("windows/windows.json",), writes=("windows_noisy/",))
-def cmd_augment(cfg: PipelineConfig, paths: Paths) -> dict:
-    manifest, read = _window_source(paths.windows / "windows.json")
-    (paths.windows_noisy / "windows.json").unlink(missing_ok=True)
+def cmd_augment(cfg: PipelineConfig, clean_path: Path, noisy_dir: Path) -> dict:
+    manifest, read = _window_source(clean_path)
+    (noisy_dir / "windows.json").unlink(missing_ok=True)
     # Per-window seeds spawned from noise.seed are independent across windows
     # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
     seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
     for record, seed in zip(manifest["windows"], seeds):
         noisy = add_gaussian_noise(read(record), replace(cfg.noise, seed=int(seed)))
-        ds.write_window_file(paths.windows_noisy / record["file"], noisy)
+        ds.write_window_file(noisy_dir / record["file"], noisy)
     manifest["noise"] = asdict(cfg.noise)
-    ds.write_json_object(paths.windows_noisy / "windows.json", manifest)
+    ds.write_json_object(noisy_dir / "windows.json", manifest)
     return {"n_windows": len(manifest["windows"]), "max_magnitude": cfg.noise.max_magnitude}
 
 
@@ -234,29 +237,26 @@ def _profile_json(profile: EntropyProfile) -> dict:
 
 
 @_stage(("windows/windows.json",), writes=("reports/entropy.json",))
-def cmd_entropy(cfg: PipelineConfig, paths: Paths) -> dict:
-    manifest_path = paths.windows / "windows.json"
-    manifest = ds.read_json_object(manifest_path)
+def cmd_entropy(cfg: PipelineConfig, clean_path: Path, report_path: Path) -> dict:
+    manifest, read_clean = _window_source(clean_path)
     params = cfg.entropy
     window_len = manifest["window_len"]
     if window_len // params.max_scale < params.m + 2:
         raise ScaleTooLarge(
             f"entropy.max_scale {params.max_scale} coarse-grains the {window_len}-sample windows "
-            f"of {manifest_path} to {window_len // params.max_scale} samples; "
+            f"of {clean_path} to {window_len // params.max_scale} samples; "
             f"entropy.m {params.m} needs at least {params.m + 2}"
         )
-    _require(cfg, "windows_noisy/windows.json")
-    names = manifest["channel_names"]
+    # augment copies the clean manifest's shape, so its manifest need not be parsed
+    _, read_noisy = _window_source(_require(cfg, "windows_noisy/windows.json"), manifest)
     records = sorted(manifest["windows"], key=lambda r: r["id"])[: params.n_windows]
     windows_out = []
     deltas = []
     for record in records:
-        clean, noisy = (
-            ds.read_window_file(d / record["file"], len(names), window_len)
-            for d in (paths.windows, paths.windows_noisy)
-        )
         channels = []
-        for shift in complexity_shift_report(clean, noisy, params, names):
+        for shift in complexity_shift_report(
+            read_clean(record), read_noisy(record), params, manifest["channel_names"]
+        ):
             deltas.append(shift.delta)
             channels.append(
                 {
@@ -276,7 +276,7 @@ def cmd_entropy(cfg: PipelineConfig, paths: Paths) -> dict:
             "mean_delta": float(np.mean(deltas)),
         },
     }
-    ds.write_json_object(paths.reports / "entropy.json", report)
+    ds.write_json_object(report_path, report)
     return {"n_windows": len(records), **report["summary"]}
 
 
@@ -337,10 +337,10 @@ def _featurize_input(cfg: PipelineConfig) -> str:
 
 
 @_stage((_featurize_input,), writes=("features/",))
-def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
+def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_dir: Path) -> dict:
     source = cfg.featurize.source
-    manifest, read = _window_source(Path(cfg.workdir) / _featurize_input(cfg))
-    (paths.features / "manifest.json").unlink(missing_ok=True)
+    manifest, read = _window_source(windows_path)
+    (features_dir / "manifest.json").unlink(missing_ok=True)
     fs_hz = manifest["sample_rate_hz"]
 
     records = []
@@ -350,7 +350,7 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
         if record["split"] == "train":
             matrices[record["id"]] = values
         fname = f"{record['id']}.eegf"
-        write_feature_file(paths.features / fname, values, record["categorical"])
+        write_feature_file(features_dir / fname, values, record["categorical"])
         records.append(
             {
                 "id": record["id"],
@@ -379,7 +379,7 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
             for wid in train_ids
             if (label := _task_label(by_id[wid], task)) is not None
         ]
-        synthetic = _write_smote_records(paths.features, matrices, labeled, task, id_prefix, spec)
+        synthetic = _write_smote_records(features_dir, matrices, labeled, task, id_prefix, spec)
         records.extend(synthetic)
         n_synth[task] = len(synthetic)
 
@@ -393,7 +393,7 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
         "train_order": train_ids,
         "records": records,
     }
-    ds.write_json_object(paths.features / "manifest.json", feature_manifest)
+    ds.write_json_object(features_dir / "manifest.json", feature_manifest)
     return {
         "source": source,
         "n_real": len(manifest["windows"]),
@@ -405,9 +405,14 @@ def cmd_featurize(cfg: PipelineConfig, paths: Paths) -> dict:
 # --- train ---
 
 
-def _task_items(features_dir: Path, manifest: dict, task: str):
-    """Per split, the (feature file path, class index) pairs of one task, in train order."""
-    n_classes = len(manifest["emotion_table"]) if task == "categorical" else 2
+def _task_items(manifest_path: Path, manifest: dict, task: str):
+    """Per split, the (feature file path, class index) pairs of one task, in train
+    order; and the task's class names, in class index order."""
+    if task == "binary":
+        names = list(ds.BINARY_CLASS_NAMES)
+    else:
+        table = manifest["emotion_table"]
+        names = sorted(table, key=table.get)
     by_split: dict[str, list] = {"train": [], "val": [], "test": []}
     id_order = {rid: pos for pos, rid in enumerate(manifest["train_order"])}
     records = sorted(
@@ -417,8 +422,8 @@ def _task_items(features_dir: Path, manifest: dict, task: str):
     for record in records:
         label = _task_label(record, task)
         if label is not None:
-            by_split[record["split"]].append((features_dir / record["file"], label))
-    return by_split, n_classes
+            by_split[record["split"]].append((manifest_path.parent / record["file"], label))
+    return by_split, names
 
 
 def _as_batches(items, n_classes: int, batch_size: int, rng: np.random.Generator | None):
@@ -442,14 +447,20 @@ TASKS = {
 
 
 @_stage(("features/manifest.json",), writes=("model/",))
-def cmd_train(cfg: PipelineConfig, paths: Paths) -> dict:
-    manifest = ds.read_json_object(paths.features / "manifest.json")
+def cmd_train(cfg: PipelineConfig, manifest_path: Path, model_dir: Path) -> dict:
+    manifest = ds.read_json_object(manifest_path)
+    # a rerun that fails part way must not leave one task's new checkpoint
+    # beside the other's old one for eval to read
+    for _, stem in TASKS.values():
+        (model_dir / f"{stem}.ckpt").unlink(missing_ok=True)
+        (model_dir / f"{stem}_log.jsonl").unlink(missing_ok=True)
     report = {}
-    for task_key, (task, stem) in TASKS.items():
-        by_split, n_classes = _task_items(paths.features, manifest, task)
+    for offset, (task_key, (task, stem)) in enumerate(TASKS.items()):
+        by_split, class_names = _task_items(manifest_path, manifest, task)
         if not by_split["train"] or not by_split["val"]:
             raise EmptyEvaluationSet(f"{task}: empty train or val split")
-        rng = np.random.default_rng(cfg.train.seed + (0 if task == "binary" else 1))
+        n_classes = len(class_names)
+        rng = np.random.default_rng(cfg.train.seed + offset)
         train_batches = _as_batches(by_split["train"], n_classes, cfg.split.batch_size, rng)
         val_batches = _as_batches(by_split["val"], n_classes, cfg.split.batch_size, None)
         cnn_cfg = CnnConfig(
@@ -457,28 +468,24 @@ def cmd_train(cfg: PipelineConfig, paths: Paths) -> dict:
             input_bins=manifest["n_bins"],
             blocks=cfg.model.resolve_blocks(),
             n_classes=n_classes,
-            seed=cfg.model.seed + (0 if task == "binary" else 1),
+            seed=cfg.model.seed + offset,
         )
         result = train(cnn_cfg, cfg.train, train_batches, val_batches)
-        if task == "binary":
-            class_names = list(ds.BINARY_CLASS_NAMES)
-        else:
-            table = manifest["emotion_table"]
-            class_names = [name for name, _ in sorted(table.items(), key=lambda kv: kv[1])]
+        ckpt = model_dir / f"{stem}.ckpt"
         save_checkpoint(
-            paths.model / f"{stem}.ckpt",
+            ckpt,
             cnn_cfg,
             result.params,
             meta={"task": task, "class_names": class_names, "source": manifest["source"]},
         )
-        _write_jsonl(paths.model / f"{stem}_log.jsonl", map(asdict, result.epoch_log))
+        _write_jsonl(model_dir / f"{stem}_log.jsonl", map(asdict, result.epoch_log))
         report[task_key] = {
             "task": task,
             "epochs_run": result.stopped_epoch,
             "best_epoch": result.best_epoch,
             "best_val_loss": min(r.val_loss for r in result.epoch_log),
             "final_val_acc": result.epoch_log[-1].val_acc,
-            "checkpoint": str(paths.model / f"{stem}.ckpt"),
+            "checkpoint": str(ckpt),
         }
     return report
 
@@ -490,23 +497,29 @@ def cmd_train(cfg: PipelineConfig, paths: Paths) -> dict:
     ("features/manifest.json", *(f"model/{stem}.ckpt" for _, stem in TASKS.values())),
     writes=("reports/metrics.json",),
 )
-def cmd_eval(cfg: PipelineConfig, paths: Paths) -> dict:
-    manifest = ds.read_json_object(paths.features / "manifest.json")
+def cmd_eval(
+    cfg: PipelineConfig, manifest_path: Path, ckpt1: Path, ckpt2: Path, metrics_path: Path
+) -> dict:
+    manifest = ds.read_json_object(manifest_path)
     metrics: dict = {}
     times = []
-    for task_key, (task, stem) in TASKS.items():
-        cnn_cfg, params, _meta = load_checkpoint(paths.model / f"{stem}.ckpt")
-        by_split, n_classes = _task_items(paths.features, manifest, task)
-        if n_classes != cnn_cfg.n_classes:
-            raise ShapeMismatch(
-                f"{task}: checkpoint has {cnn_cfg.n_classes} classes, data has {n_classes}"
+    for (task_key, (task, _)), ckpt in zip(TASKS.items(), (ckpt1, ckpt2)):
+        cnn_cfg, params, _meta = load_checkpoint(ckpt)
+        by_split, class_names = _task_items(manifest_path, manifest, task)
+        n_classes = len(class_names)
+        data = (manifest["n_channels"], manifest["n_bins"], n_classes)
+        model = (cnn_cfg.input_channels, cnn_cfg.input_bins, cnn_cfg.n_classes)
+        if data != model:
+            raise StaleArtifact(
+                f"{ckpt} takes (channels, bins, classes) {model}, but {manifest_path} "
+                f"holds {data}; run the train stage again"
             )
         test_batches = _as_batches(by_split["test"], n_classes, cfg.split.batch_size, None)
         loss, accuracy, ms_per_batch = evaluate(params, cnn_cfg, test_batches)
         times.append(ms_per_batch)
         metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
     metrics["time_per_batch_ms"] = float(np.mean(times))
-    ds.write_json_object(paths.reports / "metrics.json", metrics)
+    ds.write_json_object(metrics_path, metrics)
     return metrics
 
 
@@ -514,22 +527,31 @@ def cmd_eval(cfg: PipelineConfig, paths: Paths) -> dict:
 
 
 @_stage(
-    ("model/task1_binary.ckpt", "raw/"),
+    (f"model/{TASKS['task1'][1]}.ckpt", "raw/"),
     writes=("reports/interventions.jsonl", "reports/stream_timing.json"),
 )
-def cmd_stream(cfg: PipelineConfig, paths: Paths) -> dict:
-    cnn_cfg, params, meta = load_checkpoint(paths.model / "task1_binary.ckpt")
+def cmd_stream(
+    cfg: PipelineConfig, ckpt: Path, raw: Path, events_path: Path, timing_path: Path
+) -> dict:
+    cnn_cfg, params, meta = load_checkpoint(ckpt)
     subject = cfg.stream.source_subject
     subject_dir = _require(
-        cfg, f"raw/{subject}", f"stream.source_subject {subject!r} names no subject in {paths.raw}"
+        cfg, f"raw/{subject}", f"stream.source_subject {subject!r} names no subject in {raw}"
     )
     rec, _events = ds.load_recording(subject_dir)
+    data = (rec.n_channels, kept_bins(rec.sample_rate_hz, cfg.psd))
+    model = (cnn_cfg.input_channels, cnn_cfg.input_bins)
+    if data != model:
+        raise StaleArtifact(
+            f"{ckpt} takes (channels, bins) {model}, but {subject_dir} under the psd section "
+            f"at {rec.sample_rate_hz} Hz gives {data}; run the featurize and train stages again"
+        )
     realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
     spec = cfg.stream.spec(cfg.window.length_samples)
     class_names = tuple(meta.get("class_names", ds.BINARY_CLASS_NAMES))
     result = stream_classify(rec, realization, cfg.psd, params, cnn_cfg, class_names, spec)
     _write_jsonl(
-        paths.reports / "interventions.jsonl",
+        events_path,
         (
             {
                 "t_s": ev.timestamp_s,
@@ -544,7 +566,7 @@ def cmd_stream(cfg: PipelineConfig, paths: Paths) -> dict:
     budget_ms = spec.hop_samples / rec.sample_rate_hz * 1e3
     p50, p95 = np.percentile([d.proc_ms for d in result.decisions], [50, 95])
     ds.write_json_object(
-        paths.reports / "stream_timing.json",
+        timing_path,
         {
             "mean_proc_ms": result.mean_proc_ms,
             "p50_proc_ms": float(p50),

@@ -163,7 +163,8 @@ def powerline_notch(
 def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
     """Zero-phase (forward-backward) filtering along the last axis.
 
-    Bit-identical to `sps.sosfiltfilt(real.sections, data, axis=-1)`: odd
+    Bit-identical to `sps.sosfiltfilt(real.sections, data, axis=-1)` of data
+    as float64 (scipy would extend float32 data in float32): odd
     extension by padlen at both ends, a forward pass started from zi times
     the first sample, a backward pass started from zi times the last forward
     output, then the extension trimmed off.

@@ -54,6 +54,20 @@ def write_subject(
     (subject_dir / "events.tsv").write_text("\n".join(lines) + "\n")
 
 
+LAYOUTS = ("contiguous", "reversed", "slice")
+
+
+def laid_out(rng, shape: tuple, layout: str) -> np.ndarray:
+    """Standard normal data of shape: a contiguous array, a reversed view (the
+    layout filter_array returns) or a column slice of a wider array."""
+    if layout == "contiguous":
+        return rng.standard_normal(shape)
+    if layout == "reversed":
+        return rng.standard_normal(shape)[..., ::-1]
+    wide = rng.standard_normal(shape[:-1] + (shape[-1] + 37,))
+    return wide[..., 21:21 + shape[-1]]
+
+
 def make_events(specs: list[tuple[float, float, float, str]]) -> list[dict]:
     """specs rows: (onset_s, valence, arousal, emotion)."""
     return [

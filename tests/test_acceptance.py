@@ -9,13 +9,14 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affekt import pipeline
 from affekt.checkpoint import load_checkpoint
-from affekt.config import config_from_dict, paths_for
+from affekt.config import config_from_dict
 from affekt.dataset import BINARY_CLASS_NAMES, SmoteSpec, smote_resample
 from affekt.entropy import (
     EntropyParams,
@@ -82,7 +83,7 @@ def e2e(tmp_path_factory):
     eval_report = pipeline.cmd_eval(cfg)
     return {
         "cfg": cfg,
-        "paths": paths_for(cfg),
+        "model": Path(cfg.workdir) / "model",
         "train_report": train_report,
         "train_seconds": train_seconds,
         "eval_report": eval_report,
@@ -271,7 +272,7 @@ def test_09_end_to_end_learning(e2e):
     for task in ("task1", "task2"):
         report = e2e["train_report"][task]
         assert report["epochs_run"] < 300
-        log_path = e2e["paths"].model / f"{task}_{report['task']}_log.jsonl"
+        log_path = e2e["model"] / f"{task}_{report['task']}_log.jsonl"
         rows = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert rows[-1]["train_loss"] < rows[0]["train_loss"]
 
@@ -303,7 +304,7 @@ def test_10_early_stopping_patience_and_restore():
 def test_11_streaming_triggers_and_realtime(e2e):
     from affekt.synth import SHELF_BAND, SHELF_RMS, _band_noise, _pink_noise, _ridges
 
-    ckpt = e2e["paths"].model / "task1_binary.ckpt"
+    ckpt = e2e["model"] / "task1_binary.ckpt"
     cnn_cfg, params, meta = load_checkpoint(ckpt)
     assert meta["class_names"] == list(BINARY_CLASS_NAMES)
 

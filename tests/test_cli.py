@@ -20,7 +20,7 @@ from affekt.config import (
     default_config_dict,
     load_config,
 )
-from affekt.errors import InvalidFormat, MissingFile
+from affekt.errors import InvalidFormat, MissingFile, NonFiniteLoss
 
 
 def run_cli(args, capsys):
@@ -61,6 +61,14 @@ def test_missing_config_file_is_usage_error(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "MissingFile"
     assert "absent.json" in payload["message"]
+
+
+def test_config_path_of_a_directory_is_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(["synth", "--config", str(tmp_path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert payload["message"] == f"{tmp_path} is not a file"
 
 
 def test_invalid_config_json(capsys, tmp_path):
@@ -336,6 +344,71 @@ def test_failed_rerun_leaves_no_manifest(capsys, tmp_path, stage, writes, consum
     payload = json.loads(err)
     assert payload["error"] == "MissingFile"
     assert payload["message"] == f"{run_dir / writes} does not exist; run the {stage} stage first"
+
+
+def test_failed_train_rerun_leaves_no_checkpoint_of_the_last_run(capsys, tmp_path, monkeypatch):
+    # task 1 trains and saves before task 2 starts, so a rerun stopped in task 2
+    # must not leave task 2's old checkpoint beside task 1's new one
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "featurize", "train"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    real_train, calls = pipeline.train, []
+
+    def train_once(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NonFiniteLoss("interrupted")
+        return real_train(*args)
+
+    monkeypatch.setattr(pipeline, "train", train_once)
+    assert run_cli(["train", "--config", str(path)], capsys)[0] == 1
+    model_dir = tmp_path / "run" / "model"
+    assert (model_dir / "task1_binary.ckpt").exists()
+    assert not (model_dir / "task2_categorical.ckpt").exists()
+    assert not (model_dir / "task2_categorical_log.jsonl").exists()
+    code, _, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "MissingFile"
+    assert "run the train stage first" in payload["message"]
+
+
+@pytest.fixture()
+def trained_at_128_hz(capsys, tmp_path):
+    """A tiny workdir trained on features of 0 < f <= 128 Hz, and its config."""
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "featurize", "train"):
+        code, _, err = run_cli([stage, "--config", str(path)], capsys)
+        assert code == 0, f"{stage}: {err}"
+    return path
+
+
+def test_eval_of_features_with_other_bins_names_stale_checkpoint(capsys, tmp_path,
+                                                                  trained_at_128_hz):
+    path = tiny_config(tmp_path, psd={"max_freq_hz": 64.0})
+    assert run_cli(["featurize", "--config", str(path)], capsys)[0] == 0
+    code, _, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "StaleArtifact"
+    run_dir = tmp_path / "run"
+    for part in (str(run_dir / "model" / "task1_binary.ckpt"),
+                 str(run_dir / "features" / "manifest.json"), "(4, 128, 2)", "(4, 64, 2)"):
+        assert part in payload["message"]
+    assert not (run_dir / "reports" / "metrics.json").exists()
+
+
+def test_stream_with_other_psd_bins_names_stale_checkpoint(capsys, tmp_path, trained_at_128_hz):
+    path = tiny_config(tmp_path, psd={"max_freq_hz": 64.0})
+    code, _, err = run_cli(["stream", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "StaleArtifact"
+    run_dir = tmp_path / "run"
+    for part in (str(run_dir / "model" / "task1_binary.ckpt"), "psd section", "(4, 128)",
+                 "(4, 64)"):
+        assert part in payload["message"]
+    assert not (run_dir / "reports" / "interventions.jsonl").exists()
 
 
 def test_window_stage_peaks_do_not_grow_with_the_cohort(tmp_path):

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from affekt.errors import (
@@ -24,6 +26,7 @@ from affekt.features import (
     welch_setup,
     write_feature_file,
 )
+from conftest import LAYOUTS, laid_out
 from oracles import total_power_fsum
 
 FS = 512.0
@@ -186,6 +189,54 @@ def test_welch_setup_equals_short_time_fft(seg, fs):
         assert np.array_equal(win, stft.win) and win.dtype == stft.win.dtype
         assert np.array_equal(grid, stft.f)
         assert not win.flags.writeable and not grid.flags.writeable
+
+
+def _scipy_welch(x, fs, spec):
+    seg = spec.resolve_segment_len(fs)
+    return sps.welch(
+        x, fs=fs, window="hann", nperseg=seg, noverlap=int(round(seg * spec.overlap_fraction)),
+        detrend="constant", scaling="density", axis=-1,
+    )
+
+
+@st.composite
+def _welch_cases(draw):
+    """(x, fs, spec): a drawn segment, overlap, rate, length, channel count and layout."""
+    fs = draw(st.sampled_from([100.0, 128.0, 250.0, 256.0, 333.3, 500.0, 512.0, 1000.0]))
+    seg = draw(st.integers(2, 600))
+    overlap = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9]))
+    assume(seg - int(round(seg * overlap)) >= 1)
+    spec = PsdSpec(segment_len=seg, overlap_fraction=overlap, max_freq_hz=draw(
+        st.floats(fs / seg, fs / 2)))
+    n = seg + draw(st.integers(0, 1500))
+    rows = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return laid_out(rng, rows + (n,), draw(st.sampled_from(LAYOUTS))), fs, spec
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_welch_cases())
+def test_welch_psd_equals_scipy_welch_property(case):
+    x, fs, spec = case
+    freqs, psd = _scipy_welch(x, fs, spec)
+    got_freqs, got = welch_psd(x, fs, spec)
+    assert np.array_equal(got_freqs, freqs)
+    assert got.shape == psd.shape and np.array_equal(got, psd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_welch_cases())
+def test_feature_values_equal_kept_band_of_welch_psd_property(case):
+    x, fs, spec = case
+    data = x.reshape(-1, x.shape[-1])
+    freqs, psd = welch_psd(data, fs, spec)
+    keep = (freqs > 0.0) & (freqs <= spec.max_freq_hz)
+    # row-major, as the per-channel reference stacks it: a whole-matrix sum runs in memory order
+    logp = np.log(np.ascontiguousarray(psd[:, keep]) + LOG_FLOOR)
+    values, bins = psd_feature_values(data, fs, spec)
+    assert np.array_equal(bins, freqs[keep])
+    sigma = logp.std()  # 0 for one channel's one bin, a matrix that comes back as zeros
+    assert np.array_equal(values, (logp - logp.mean()) / sigma if sigma else np.zeros_like(logp))
 
 
 def test_feature_matrix_shape_and_bins():

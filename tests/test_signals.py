@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from affekt.errors import EdgeOutOfRange, InvalidOrder, RecordingTooShort
@@ -16,6 +18,7 @@ from affekt.signals import (
     powerline_notch,
     zscore_array,
 )
+from conftest import LAYOUTS, laid_out
 from oracles import (
     butterworth_gain,
     prewarped_prototype_w,
@@ -207,6 +210,38 @@ def test_filter_array_equals_sosfiltfilt(kind, order_n, edges):
     assert np.array_equal(
         filter_array(realization, x), sps.sosfiltfilt(realization.sections, x, axis=-1)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(FilterKind)),
+    order_n=st.integers(1, 8),
+    fs=st.sampled_from([128.0, 250.0, 256.0, 333.3, 512.0, 1000.0]),
+    edges=st.lists(st.floats(0.02, 0.95), min_size=2, max_size=2, unique=True).map(sorted),
+    rows=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    extra=st.integers(1, 400),
+    layout=st.sampled_from(LAYOUTS),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_array_equals_sosfiltfilt_property(
+    kind, order_n, fs, edges, rows, extra, layout, dtype, seed
+):
+    nyquist = fs / 2
+    band = (edges[0] * nyquist, edges[1] * nyquist)
+    if kind in (FilterKind.LOWPASS, FilterKind.HIGHPASS):
+        band = band[:1]
+    try:
+        realization = design_filter(FilterSpec(kind, order_n, band, fs))
+    except EdgeOutOfRange:
+        assume(False)
+    x = laid_out(np.random.default_rng(seed), rows + (realization.padlen + extra,), layout)
+    x = x.astype(dtype, copy=False)
+    # float32 input is filtered as its float64 value
+    expected = sps.sosfiltfilt(realization.sections, x.astype(np.float64), axis=-1)
+    got = filter_array(realization, x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.array_equal(got, expected)
 
 
 def test_odd_order_padlen_discounts_zero_coefficients():
