@@ -199,7 +199,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise InvalidFormat(f"config: unknown top-level keys {unknown}")
     cfg = PipelineConfig(workdir=str(data["workdir"]))
     for name in _SECTIONS:
-        setattr(cfg, name, _build_section(getattr(cfg, name), data.get(name) or {}, name))
+        setattr(cfg, name, _build_section(getattr(cfg, name), data.get(name, {}), name))
     return cfg
 
 

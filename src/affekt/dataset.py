@@ -121,7 +121,8 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     try:
         names = list(sidecar["channel_names"])
         n_samples = sidecar["n_samples"]
-        fs_hz = float(sidecar["sample_rate_hz"])
+        rate = sidecar["sample_rate_hz"]
+        fs_hz = float(rate)
         subject_id = str(sidecar["subject_id"])
     except KeyError as exc:
         raise InvalidFormat(f"{sidecar_path}: missing key {exc}") from exc
@@ -129,6 +130,8 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
         raise InvalidFormat(f"{sidecar_path}: {exc}") from exc
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
         raise InvalidFormat(f"{sidecar_path}: n_samples must be an integer >= 0, got {n_samples!r}")
+    if isinstance(rate, bool) or not 0 < fs_hz < math.inf:
+        raise InvalidFormat(f"{sidecar_path}: sample_rate_hz must be finite and > 0, got {rate!r}")
     raw = _read_f32(data_path, len(names), n_samples, "sidecar")
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:

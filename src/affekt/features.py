@@ -25,8 +25,7 @@ The feature path works on the kept band only. Each bin's segment mean
 depends on no other bin (Welch 1967), so `psd_feature_values` cuts the
 spectra to 0 < f <= max_freq_hz before squaring, doubling and averaging,
 and the kept densities keep the bits that `welch_psd` gives them. The log
-matrix is standardized with one mean pass, sigma coming from the centred
-matrix by numpy std's own steps, so it keeps std's bits.
+matrix is standardized as one row by `signals.zscore_array`.
 scipy.fft is imported by the function that uses it, so a stage that
 computes no spectrum does not load it, and no stage here loads scipy.signal.
 """
@@ -41,6 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBand, InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
+from .signals import zscore_array
 
 LOG_FLOOR = 1e-12
 FEATURE_MAGIC = b"EEGF"
@@ -176,13 +176,7 @@ def psd_feature_values(
         )
     freqs, psd = _welch(data, fs_hz, spec, True)
     logp = np.log(psd + LOG_FLOOR)
-    # one mean pass: sigma by numpy std's own steps on the centred matrix
-    centred = logp - logp.mean()
-    sigma = np.sqrt(np.square(centred).sum() / centred.size)
-    if sigma < 1e-12:
-        return np.zeros_like(logp), freqs
-    centred /= sigma
-    return centred, freqs
+    return zscore_array(logp.reshape(1, -1)).reshape(logp.shape), freqs
 
 
 # --- binary container: magic, version, dims, label id, row-major f32 LE ---

@@ -2,8 +2,9 @@
 
 STAGES lists the stages in pipeline order with the workdir paths each one
 reads and writes (see _stage); a stage reads only artifacts of earlier stages
-plus the config. The runner hands each stage body the paths it checked, so a
-body opens its declared inputs and outputs by those paths and builds none.
+plus the config. A body opens the paths the runner checked and builds none.
+Its writes are the files it commits last, and the runner deletes them before
+the body runs, so a run that fails part way leaves none for a later stage.
 
 Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except wall-clock timing fields,
@@ -59,10 +60,7 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 class Stage(NamedTuple):
-    """A stage's runner and workdir paths ("x/" is a directory; a read may be a function of cfg).
-
-    writes is the one directory the stage owns or the report files it writes.
-    """
+    """A stage's runner and workdir paths ("x/" is a directory; a read may be a function of cfg)."""
 
     run: Callable[[PipelineConfig], dict]
     reads: tuple
@@ -77,7 +75,7 @@ def _require(cfg: PipelineConfig, rel: str, hint: str = "") -> Path:
     path = Path(cfg.workdir) / rel
     if not path.exists():
         if not hint:
-            producer = next(n for n, s in STAGES.items() if any(map(rel.startswith, s.writes)))
+            producer = next(n for n, s in STAGES.items() if rel in s.writes)
             hint = f"run the {producer} stage first"
             if not STAGES[producer].reads:  # a source stage: a dataset can stand in
                 hint += " or point workdir at a dataset"
@@ -87,8 +85,8 @@ def _require(cfg: PipelineConfig, rel: str, hint: str = "") -> Path:
 
 def _stage(reads: tuple = (), *, writes: tuple[str, ...]):
     """Register cmd_<name>(cfg, *reads, *writes) in STAGES as cmd_<name>(cfg), which checks
-    the reads, makes the output directory, hands the body the workdir path of each read and
-    write in declared order and adds "stage" and "out" (writes[0]) to the report."""
+    the reads, deletes the files among the writes, hands the body the workdir path of each
+    read and write in declared order and adds "stage" and "out" (writes[0]) to the report."""
 
     def register(body):
         name = body.__name__.removeprefix("cmd_")
@@ -97,9 +95,11 @@ def _stage(reads: tuple = (), *, writes: tuple[str, ...]):
         def run(cfg: PipelineConfig) -> dict:
             inputs = [_require(cfg, rel(cfg) if callable(rel) else rel) for rel in reads]
             outputs = [Path(cfg.workdir) / rel for rel in writes]
-            out = outputs[0]
-            (out if writes[0].endswith("/") else out.parent).mkdir(parents=True, exist_ok=True)
-            return {"stage": name, **body(cfg, *inputs, *outputs), "out": str(out)}
+            for rel, path in zip(writes, outputs):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if not rel.endswith("/"):
+                    path.unlink(missing_ok=True)
+            return {"stage": name, **body(cfg, *inputs, *outputs), "out": str(outputs[0])}
 
         STAGES[name] = Stage(run, reads, writes)
         return run
@@ -132,12 +132,11 @@ def _check_layout(sidecar: Path, rec, first) -> None:
             )
 
 
-@_stage(("raw/",), writes=("windows/",))
-def cmd_preprocess(cfg: PipelineConfig, raw: Path, windows_dir: Path) -> dict:
+@_stage(("raw/",), writes=("windows/windows.json",))
+def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
     subject_dirs = sorted(p for p in raw.iterdir() if p.is_dir())
     if not subject_dirs:
         raise MissingFile(f"{raw} contains no subject directories")
-    (windows_dir / "windows.json").unlink(missing_ok=True)
 
     table: dict[str, int] = {}
     windows: list[ds.LabeledWindow] = []  # metadata only; each window's data is on disk
@@ -157,7 +156,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, windows_dir: Path) -> dict:
         except RecordingTooShort as exc:
             raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
         for w in ds.extract_windows(rec, events, table, cfg.window):
-            ds.write_window_file(windows_dir / f"{w.window_id}.f32", w.data)
+            ds.write_window_file(manifest_path.parent / f"{w.window_id}.f32", w.data)
             windows.append(replace(w, data=None))
         n_events += len(events)
 
@@ -189,7 +188,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, windows_dir: Path) -> dict:
         "windows": records,
         "split_order": {name: [w.window_id for w in ws] for name, ws in splits.items()},
     }
-    ds.write_json_object(windows_dir / "windows.json", manifest)
+    ds.write_json_object(manifest_path, manifest)
     return {
         "n_subjects": len(subject_dirs),
         "n_events": n_events,
@@ -211,18 +210,17 @@ def _window_source(manifest_path: Path, manifest: dict | None = None) -> tuple[d
     return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
 
 
-@_stage(("windows/windows.json",), writes=("windows_noisy/",))
-def cmd_augment(cfg: PipelineConfig, clean_path: Path, noisy_dir: Path) -> dict:
+@_stage(("windows/windows.json",), writes=("windows_noisy/windows.json",))
+def cmd_augment(cfg: PipelineConfig, clean_path: Path, noisy_path: Path) -> dict:
     manifest, read = _window_source(clean_path)
-    (noisy_dir / "windows.json").unlink(missing_ok=True)
     # Per-window seeds spawned from noise.seed are independent across windows
     # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
     seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
     for record, seed in zip(manifest["windows"], seeds):
         noisy = add_gaussian_noise(read(record), replace(cfg.noise, seed=int(seed)))
-        ds.write_window_file(noisy_dir / record["file"], noisy)
+        ds.write_window_file(noisy_path.parent / record["file"], noisy)
     manifest["noise"] = asdict(cfg.noise)
-    ds.write_json_object(noisy_dir / "windows.json", manifest)
+    ds.write_json_object(noisy_path, manifest)
     return {"n_windows": len(manifest["windows"]), "max_magnitude": cfg.noise.max_magnitude}
 
 
@@ -336,11 +334,11 @@ def _featurize_input(cfg: PipelineConfig) -> str:
     return ("windows/" if cfg.featurize.source == "clean" else "windows_noisy/") + "windows.json"
 
 
-@_stage((_featurize_input,), writes=("features/",))
-def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_dir: Path) -> dict:
+@_stage((_featurize_input,), writes=("features/manifest.json",))
+def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_path: Path) -> dict:
     source = cfg.featurize.source
     manifest, read = _window_source(windows_path)
-    (features_dir / "manifest.json").unlink(missing_ok=True)
+    features_dir = features_path.parent
     fs_hz = manifest["sample_rate_hz"]
 
     records = []
@@ -393,7 +391,7 @@ def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_dir: Path) -
         "train_order": train_ids,
         "records": records,
     }
-    ds.write_json_object(features_dir / "manifest.json", feature_manifest)
+    ds.write_json_object(features_path, feature_manifest)
     return {
         "source": source,
         "n_real": len(manifest["windows"]),
@@ -446,16 +444,18 @@ TASKS = {
 }
 
 
-@_stage(("features/manifest.json",), writes=("model/",))
-def cmd_train(cfg: PipelineConfig, manifest_path: Path, model_dir: Path) -> dict:
+@_stage(
+    ("features/manifest.json",),
+    writes=(*(f"model/{stem}.ckpt" for _, stem in TASKS.values()),
+            *(f"model/{stem}_log.jsonl" for _, stem in TASKS.values())),
+)
+def cmd_train(
+    cfg: PipelineConfig, manifest_path: Path, ckpt1: Path, ckpt2: Path, log1: Path, log2: Path
+) -> dict:
     manifest = ds.read_json_object(manifest_path)
-    # a rerun that fails part way must not leave one task's new checkpoint
-    # beside the other's old one for eval to read
-    for _, stem in TASKS.values():
-        (model_dir / f"{stem}.ckpt").unlink(missing_ok=True)
-        (model_dir / f"{stem}_log.jsonl").unlink(missing_ok=True)
     report = {}
-    for offset, (task_key, (task, stem)) in enumerate(TASKS.items()):
+    for offset, (task_key, (task, _)) in enumerate(TASKS.items()):
+        ckpt, log = (ckpt1, ckpt2)[offset], (log1, log2)[offset]
         by_split, class_names = _task_items(manifest_path, manifest, task)
         if not by_split["train"] or not by_split["val"]:
             raise EmptyEvaluationSet(f"{task}: empty train or val split")
@@ -471,14 +471,13 @@ def cmd_train(cfg: PipelineConfig, manifest_path: Path, model_dir: Path) -> dict
             seed=cfg.model.seed + offset,
         )
         result = train(cnn_cfg, cfg.train, train_batches, val_batches)
-        ckpt = model_dir / f"{stem}.ckpt"
         save_checkpoint(
             ckpt,
             cnn_cfg,
             result.params,
             meta={"task": task, "class_names": class_names, "source": manifest["source"]},
         )
-        _write_jsonl(model_dir / f"{stem}_log.jsonl", map(asdict, result.epoch_log))
+        _write_jsonl(log, map(asdict, result.epoch_log))
         report[task_key] = {
             "task": task,
             "epochs_run": result.stopped_epoch,

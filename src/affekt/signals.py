@@ -205,5 +205,6 @@ def zscore_array(data: np.ndarray) -> np.ndarray:
     flat = sigma < SIGMA_FLOOR
     sigma[flat] = 1.0
     out /= sigma
-    np.copyto(out, 0.0, where=flat)
+    if flat.any():  # the masked copy is a pass over all of out
+        np.copyto(out, 0.0, where=flat)
     return out

@@ -91,11 +91,13 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(InvalidFormat):
         load_config(path)
-    cfg = json.loads(tiny_config(tmp_path).read_text())
-    cfg["train"] = 5
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(InvalidFormat, match="'train' must be a JSON object"):
-        load_config(path)
+    # a falsy value does not stand for an empty section
+    for value in (5, [1], [], 0, False, "", None):
+        cfg = json.loads(tiny_config(tmp_path).read_text())
+        cfg["train"] = value
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(InvalidFormat, match="'train' must be a JSON object"):
+            load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -344,6 +346,41 @@ def test_failed_rerun_leaves_no_manifest(capsys, tmp_path, stage, writes, consum
     payload = json.loads(err)
     assert payload["error"] == "MissingFile"
     assert payload["message"] == f"{run_dir / writes} does not exist; run the {stage} stage first"
+
+
+def _first_analysed_window(run_dir: Path) -> Path:
+    records = json.loads((run_dir / "windows" / "windows.json").read_text())["windows"]
+    return run_dir / "windows" / min(records, key=lambda r: r["id"])["file"]
+
+
+def _first_test_feature_file(run_dir: Path) -> Path:
+    records = json.loads((run_dir / "features" / "manifest.json").read_text())["records"]
+    return run_dir / "features" / next(r["file"] for r in records if r["split"] == "test")
+
+
+@pytest.mark.parametrize(
+    "stage, earlier, damaged",
+    [("entropy", ("augment",), _first_analysed_window),
+     ("eval", ("featurize", "train"), _first_test_feature_file),
+     ("stream", ("featurize", "train"), lambda run_dir: run_dir / "raw" / "sub-001" / "eeg.f32")],
+    ids=["entropy", "eval", "stream"],
+)
+def test_failed_rerun_leaves_no_report(capsys, tmp_path, stage, earlier, damaged):
+    # the runner deletes a stage's declared files before the stage starts, so a
+    # rerun that fails leaves no report of the last run beside the new inputs
+    path = tiny_config(tmp_path)
+    for name in ("synth", "preprocess", *earlier, stage):
+        code, _, err = run_cli([name, "--config", str(path)], capsys)
+        assert code == 0, f"{name}: {err}"
+    run_dir = tmp_path / "run"
+    writes = [run_dir / rel for rel in pipeline.STAGES[stage].writes]
+    assert all(p.exists() for p in writes)
+    damaged = damaged(run_dir)
+    damaged.write_bytes(damaged.read_bytes()[:-8])
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code != 0
+    assert str(damaged) in json.loads(err)["message"]
+    assert not any(p.exists() for p in writes)
 
 
 def test_failed_train_rerun_leaves_no_checkpoint_of_the_last_run(capsys, tmp_path, monkeypatch):
@@ -688,6 +725,21 @@ def test_subject_with_no_samples_named_at_preprocess(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "RecordingTooShort"
     assert f"{subject}: filtering needs more than padlen=27 samples, got 0" in payload["message"]
+
+
+@pytest.mark.parametrize("rate", [0, -512, float("nan"), float("inf")])
+def test_bad_sample_rate_named_at_preprocess(capsys, tmp_path, rate):
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    subject = tmp_path / "run" / "raw" / "sub-001"
+    _rewrite_sidecar(subject, sample_rate_hz=rate)
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert payload["message"] == (
+        f"{subject / 'eeg.json'}: sample_rate_hz must be finite and > 0, got {rate!r}"
+    )
 
 
 @pytest.mark.parametrize("layout", ["missing_channel", "reversed_channels", "sample_rate"])

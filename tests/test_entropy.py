@@ -282,3 +282,18 @@ def test_counts_exact_on_zscored_random_walks(m):
                 assert not y.flags.c_contiguous or y.dtype == np.float32
                 assert template_match_counts(y, m, r) == template_match_counts(contiguous, m, r)
                 assert template_match_counts(y, m, r) == sampen_counts_bruteforce(y, m, r)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(40, 400),
+    m=st.integers(1, 3),
+    r_fraction=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_equal_bruteforce_on_random_walks_property(n, m, r_fraction, seed):
+    # long enough for several 16-offset steps of the sweep, and r anywhere from
+    # a few partners per template to most of the series
+    x = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    r = r_fraction * x.std()
+    assert template_match_counts(x, m, r) == sampen_counts_bruteforce(x, m, r)

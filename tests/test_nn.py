@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affekt import nn
 from affekt.config import MODEL_PRESETS
@@ -265,6 +267,35 @@ def test_im2col_col2im_equal_padded_copy_references(extent, stride):
         ref_dx = _col2im_batch_major(batch_major, (b, c, h, w), stride, ho, wo).transpose(1, 0, 2, 3)
         got = conv.col2im(dcols.reshape(c * 9, -1), b)
         assert got.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.integers(1, 4),
+    b=st.integers(1, 4),
+    spare=st.integers(0, 3),
+    h=st.integers(1, 12),
+    w=st.integers(1, 40),
+    stride=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_im2col_col2im_equal_padded_copy_references_property(c, b, spare, h, w, stride, seed):
+    # buffers made for b + spare samples serve a full micro-batch and then b
+    # samples; signed zeros in the data and the gradient must keep their bits
+    conv = nn._Conv(BlockSpec(4, stride), c, h, w, samples=b + spare, first=False)
+    rng = np.random.default_rng(seed)
+    for n in (b + spare, b):
+        a = rng.standard_normal((c, n, h, w))
+        a[rng.random(a.shape) < 0.3] = -0.0
+        ref, ho, wo = _im2col_batch_major(a.transpose(1, 0, 2, 3), stride)
+        ref = ref.reshape(n, c, 3, 3, ho, wo).transpose(1, 2, 3, 0, 4, 5)
+        assert conv.im2col(a).tobytes() == ref.tobytes()
+        dcols = rng.standard_normal((c, 3, 3, n, ho, wo))
+        dcols[rng.random(dcols.shape) < 0.3] = -0.0
+        batch_major = dcols.transpose(3, 0, 1, 2, 4, 5).reshape(n, c * 9, ho * wo)
+        ref_dx = _col2im_batch_major(batch_major, (n, c, h, w), stride, ho, wo)
+        got = conv.col2im(dcols.reshape(c * 9, -1), n)
+        assert got.tobytes() == np.ascontiguousarray(ref_dx.transpose(1, 0, 2, 3)).tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 5])
