@@ -1,7 +1,8 @@
 """Fresh-process runs of one CLI stage from two trees, paired.
 
     python3 cold_stage.py --parent OLD_TREE --change NEW_TREE --workdir DIR \
-        [--stage train|preprocess|augment|entropy|featurize] [--preset cnn-small] [--repeats 3]
+        [--stage train|preprocess|augment|entropy|featurize|stream] [--preset cnn-small] \
+        [--repeats 3]
 
 Each tree is a source checkout (its src/ is put on PYTHONPATH). The stage's
 inputs are built once with the change's tree and shared by both trees:
@@ -13,6 +14,8 @@ inputs are built once with the change's tree and shared by both trees:
   preprocess, for augment and featurize).
 - entropy: the default config with 128 channels through synth, preprocess
   and augment.
+- stream: the same cohort through synth, preprocess, featurize and a train of
+  3 epochs; the stream replays one 128-channel recording (sub-001).
 
 Each timed run then starts a new interpreter, as the CLI stage does, with one
 BLAS thread. Wall time comes from perf_counter around the child; user and
@@ -20,8 +23,10 @@ system time, minor faults and max RSS come from the child's own rusage
 (os.wait4, the figures getrusage(RUSAGE_CHILDREN) reports for one child). The
 trees alternate which runs first, and after every pair the stage's artifacts
 of both (checkpoints and epoch logs; every file under windows/,
-windows_noisy/ or features/; reports/entropy.json) are compared byte for
-byte. Prints one JSON object.
+windows_noisy/ or features/; reports/entropy.json; reports/interventions.jsonl,
+but not the stream's timing report) are compared byte for byte. A stream run
+also records its reports/stream_timing.json (first, median and mean window
+times). Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -74,6 +79,14 @@ STAGES = {
         "ready": "windows/windows.json",
         "shared": ("windows",),
         "artifacts": ("features",),
+    },
+    "stream": {
+        "config": {"synth": E2E_COHORT, "train": {"max_epochs": 3}},
+        "inputs": ("synth", "preprocess", "featurize", "train"),
+        "ready": "model/task2_categorical_log.jsonl",  # the last file train writes
+        "shared": ("raw", "model"),
+        "artifacts": ("reports/interventions.jsonl",),
+        "timing": "reports/stream_timing.json",
     },
 }
 
@@ -143,6 +156,9 @@ def main() -> None:
         order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
         for name in order:
             runs[name].append(timed(*commands[name]))
+            if "timing" in stage:
+                report = work / f"{label}-{name}" / stage["timing"]
+                runs[name][-1]["timing"] = json.loads(report.read_text())
         identical.append(all(
             same_bytes(work / f"{label}-parent" / f, work / f"{label}-change" / f)
             for f in stage["artifacts"]))

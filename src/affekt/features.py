@@ -39,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyBand, InvalidFormat, NyquistExceeded, ShapeMismatch, WindowTooShort
+from .errors import (EmptyBand, InvalidFormat, NyquistExceeded, PayloadSizeMismatch,
+                     ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
 
 LOG_FLOOR = 1e-12
@@ -209,7 +210,7 @@ def read_feature_file(path) -> tuple[np.ndarray, int]:
         raise InvalidFormat(f"{path}: payload truncated mid-float")
     payload = np.frombuffer(raw, dtype="<f4")
     if payload.size != n_channels * n_bins:
-        raise ShapeMismatch(
+        raise PayloadSizeMismatch(
             f"{path}: payload has {payload.size} floats, header says {n_channels}x{n_bins}"
         )
     return payload.reshape(n_channels, n_bins).astype(np.float64), label_id

@@ -10,10 +10,12 @@ Zero-phase application does what `scipy.signal.sosfiltfilt` does, in the
 same order and so to the same bits, but without its per-call set-up: a
 FilterRealization computes its edge padding and its steady-state section
 state (`sosfilt_zi`) once, when it is designed, and `filter_array` then only
-extends, filters forward and backward, and trims. The stream filters one
-short window per hop, where that set-up cost as much as the filtering.
-scipy.signal is imported by the functions that use it, so a stage that
-filters nothing does not load it.
+extends, filters forward and backward, and trims. Both passes call the
+private in-place kernel `scipy.signal._sosfilt._sosfilt` that the public
+`sosfilt` wraps in argument checks and copies, which the stream paid on
+every short window it filters; the `sosfiltfilt` bit-identity tests fail if
+a scipy release moves or changes it. scipy.signal is imported by the
+functions that use it, so a stage that filters nothing does not load it.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class FilterRealization:
     def __post_init__(self) -> None:
         from scipy import signal as sps
 
-        sections = np.asarray(self.sections, dtype=np.float64)
+        sections = np.ascontiguousarray(self.sections, dtype=np.float64)  # _sosfilt reads C order
         if sections.ndim != 2 or sections.shape[1] != 6:
             raise ShapeMismatch("sections must be (n_sections, 6)")
         ntaps = 2 * len(sections) + 1
@@ -167,9 +169,12 @@ def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
     as float64 (scipy would extend float32 data in float32): odd
     extension by padlen at both ends, a forward pass started from zi times
     the first sample, a backward pass started from zi times the last forward
-    output, then the extension trimmed off.
+    output, then the extension trimmed off. The forward pass runs in place on
+    a new extension buffer, the backward pass on one reversed copy of it, and
+    the result is a view of that copy in sosfiltfilt's reversed layout, whose
+    memory order zscore_array's sums follow. data is never written.
     """
-    from scipy import signal as sps
+    from scipy.signal._sosfilt import _sosfilt
 
     x = np.asarray(data, dtype=np.float64)
     n, edge = x.shape[-1], real.padlen
@@ -177,18 +182,15 @@ def filter_array(real: FilterRealization, data: np.ndarray) -> np.ndarray:
         raise RecordingTooShort(
             f"filtering needs more than padlen={edge} samples, got {n}"
         )
-    ext = np.concatenate(
-        (
-            2 * x[..., :1] - x[..., edge:0:-1],
-            x,
-            2 * x[..., -1:] - x[..., -2:-edge - 2:-1],
-        ),
-        axis=-1,
-    )
-    zi = real.zi.reshape((len(real.sections),) + (1,) * (x.ndim - 1) + (2,))
-    y, _ = sps.sosfilt(real.sections, ext, zi=zi * ext[..., :1])
-    y, _ = sps.sosfilt(real.sections, y[..., ::-1], zi=zi * y[..., -1:])
-    return y[..., ::-1][..., edge:-edge]
+    x2 = x.reshape(-1, n)
+    ext = np.empty((len(x2), n + 2 * edge))
+    np.subtract(2 * x2[:, :1], x2[:, edge:0:-1], out=ext[:, :edge])
+    ext[:, edge:edge + n] = x2
+    np.subtract(2 * x2[:, -1:], x2[:, -2:-edge - 2:-1], out=ext[:, edge + n:])
+    _sosfilt(real.sections, ext, real.zi * ext[:, :1, None])  # in place
+    rev = ext[:, ::-1].copy()
+    _sosfilt(real.sections, rev, real.zi * rev[:, :1, None])
+    return rev[:, ::-1][:, edge:-edge].reshape(x.shape)
 
 
 def zscore_array(data: np.ndarray) -> np.ndarray:

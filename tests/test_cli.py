@@ -383,6 +383,20 @@ def test_failed_rerun_leaves_no_report(capsys, tmp_path, stage, earlier, damaged
     assert not any(p.exists() for p in writes)
 
 
+def test_short_feature_file_is_usage_error_at_eval(capsys, tmp_path):
+    # a .eegf short by whole floats is the same input fault as a short window file
+    path = tiny_config(tmp_path)
+    for name in ("synth", "preprocess", "featurize", "train"):
+        assert run_cli([name, "--config", str(path)], capsys)[0] == 0
+    damaged = _first_test_feature_file(tmp_path / "run")
+    damaged.write_bytes(damaged.read_bytes()[:-8])
+    code, _, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "PayloadSizeMismatch"
+    assert str(damaged) in payload["message"]
+
+
 def test_failed_train_rerun_leaves_no_checkpoint_of_the_last_run(capsys, tmp_path, monkeypatch):
     # task 1 trains and saves before task 2 starts, so a rerun stopped in task 2
     # must not leave task 2's old checkpoint beside task 1's new one

@@ -12,6 +12,7 @@ from affekt.errors import EdgeOutOfRange, InvalidOrder, RecordingTooShort
 from affekt.signals import (
     SIGMA_FLOOR,
     FilterKind,
+    FilterRealization,
     FilterSpec,
     design_filter,
     filter_array,
@@ -227,21 +228,55 @@ def test_filter_array_equals_sosfiltfilt(kind, order_n, edges):
 def test_filter_array_equals_sosfiltfilt_property(
     kind, order_n, fs, edges, rows, extra, layout, dtype, seed
 ):
-    nyquist = fs / 2
-    band = (edges[0] * nyquist, edges[1] * nyquist)
-    if kind in (FilterKind.LOWPASS, FilterKind.HIGHPASS):
-        band = band[:1]
-    try:
-        realization = design_filter(FilterSpec(kind, order_n, band, fs))
-    except EdgeOutOfRange:
-        assume(False)
+    realization = _drawn_realization(kind, order_n, fs, edges)
     x = laid_out(np.random.default_rng(seed), rows + (realization.padlen + extra,), layout)
     x = x.astype(dtype, copy=False)
+    before = x.copy()
     # float32 input is filtered as its float64 value
     expected = sps.sosfiltfilt(realization.sections, x.astype(np.float64), axis=-1)
     got = filter_array(realization, x)
     assert got.dtype == np.float64 and got.shape == x.shape
     assert np.array_equal(got, expected)
+    # both passes run in place: on buffers of filter_array's own, never the caller's
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(got, x)
+
+
+def _drawn_realization(kind, order_n, fs, edges):
+    """The filter of a drawn kind and order whose edges are drawn fractions of Nyquist."""
+    nyquist = fs / 2
+    band = (edges[0] * nyquist, edges[1] * nyquist)
+    if kind in (FilterKind.LOWPASS, FilterKind.HIGHPASS):
+        band = band[:1]
+    try:
+        return design_filter(FilterSpec(kind, order_n, band, fs))
+    except EdgeOutOfRange:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(FilterKind)),
+    order_n=st.integers(1, 8),
+    fs=st.sampled_from([128.0, 256.0, 512.0]),
+    edges=st.lists(st.floats(0.02, 0.95), min_size=2, max_size=2, unique=True).map(sorted),
+    rows=st.sampled_from([(), (3,), (2, 2)]),
+    extra=st.integers(1, 400),
+    a=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_array_is_linear_property(kind, order_n, fs, edges, rows, extra, a, b, seed):
+    realization = _drawn_realization(kind, order_n, fs, edges)
+    rng = np.random.default_rng(seed)
+    x, y = (laid_out(rng, rows + (realization.padlen + extra,), layout)
+            for layout in ("contiguous", "reversed"))
+    fx, fy = filter_array(realization, x), filter_array(realization, y)
+    got = filter_array(realization, a * x + b * y)
+    scale = abs(a) * np.abs(fx).max() + abs(b) * np.abs(fy).max() + 1.0
+    # rounding, not a fault: an order-8 band-stop over 0.02-0.95 of Nyquist,
+    # with poles near both ends of the unit circle, reaches about 1e-9
+    assert np.abs(got - (a * fx + b * fy)).max() <= 1e-6 * scale
 
 
 def test_odd_order_padlen_discounts_zero_coefficients():
@@ -252,11 +287,38 @@ def test_odd_order_padlen_discounts_zero_coefficients():
     assert design_filter(powerline_notch(FS)).padlen == 3 * (2 * 4 + 1)
 
 
+def test_realization_of_fortran_ordered_sections_filters_alike():
+    # the in-place kernel reads the sections in C order only
+    realization = design_filter(powerline_notch(FS))
+    fortran = FilterRealization(realization.spec, np.asfortranarray(realization.sections))
+    x = np.random.default_rng(8).standard_normal((3, 500))
+    assert np.array_equal(filter_array(fortran, x), filter_array(realization, x))
+
+
 def test_filter_array_rejects_input_not_longer_than_padlen():
     realization = design_filter(powerline_notch(FS))
     assert realization.padlen == 27
     with pytest.raises(RecordingTooShort, match=r"padlen=27.* got 27"):
         filter_array(realization, np.zeros((3, 27)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.sampled_from([(1,), (4,), (2, 3)]),
+    n=st.integers(2, 600),
+    layout=st.sampled_from(LAYOUTS),
+    flat_row=st.booleans(),
+    s=st.floats(1e-3, 1e3),
+    c=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zscore_array_ignores_positive_affine_maps_property(rows, n, layout, flat_row, s, c,
+                                                            seed):
+    x = laid_out(np.random.default_rng(seed), rows + (n,), layout)
+    if flat_row:
+        x = x.copy()
+        x[..., 0, :] = 0.37  # a flat row stays all zeros
+    assert np.allclose(zscore_array(s * x + c), zscore_array(x), rtol=0.0, atol=1e-8)
 
 
 def test_zscore_equals_two_where_formula_with_flat_rows():
