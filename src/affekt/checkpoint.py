@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .dataset import open_artifact
 from .errors import InvalidFormat, ShapeMismatch
 from .nn import CnnConfig, init_params
 
@@ -46,7 +47,7 @@ def save_checkpoint(path, cfg: CnnConfig, params: dict[str, np.ndarray], meta: d
     if meta:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_artifact(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
@@ -58,7 +59,7 @@ def save_checkpoint(path, cfg: CnnConfig, params: dict[str, np.ndarray], meta: d
             fh.write(struct.pack("<I", tensor.ndim))
             for dim in tensor.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:

@@ -66,7 +66,7 @@ class InvalidFormat(UsageError):
 
 
 class NonFiniteSample(UsageError):
-    """A recording holds NaN or inf; message names the file, channel and sample."""
+    """A recording or feature file holds NaN or inf; message names the file and the value's place."""
 
 
 class LayoutMismatch(UsageError):

@@ -39,8 +39,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (EmptyBand, InvalidFormat, NyquistExceeded, PayloadSizeMismatch,
-                     ShapeMismatch, WindowTooShort)
+from .dataset import open_artifact
+from .errors import (EmptyBand, InvalidFormat, MissingFile, NonFiniteSample, NyquistExceeded,
+                     PayloadSizeMismatch, ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
 
 LOG_FLOOR = 1e-12
@@ -188,14 +189,20 @@ def write_feature_file(path, values: np.ndarray, label_id: int) -> None:
     if values.ndim != 2:
         raise ShapeMismatch(f"feature payload must be 2-D, got ndim={values.ndim}")
     n_channels, n_bins = values.shape
-    with open(path, "wb") as fh:
+    with open_artifact(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIII", FEATURE_VERSION, n_channels, n_bins, label_id))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_feature_file(path) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as fh:
+    """(values as float64, label id); a missing file, bad header, size or a
+    non-finite value is a usage error naming the file."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise MissingFile(f"{path} does not exist") from None
+    with fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
             raise InvalidFormat(f"{path}: bad magic {magic!r}")
@@ -213,4 +220,8 @@ def read_feature_file(path) -> tuple[np.ndarray, int]:
         raise PayloadSizeMismatch(
             f"{path}: payload has {payload.size} floats, header says {n_channels}x{n_bins}"
         )
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:
+        channel, bin_idx = divmod(int(bad[0]), n_bins)
+        raise NonFiniteSample(f"{path}: channel {channel} bin {bin_idx} is {payload[bad[0]]}")
     return payload.reshape(n_channels, n_bins).astype(np.float64), label_id

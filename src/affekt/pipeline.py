@@ -5,6 +5,12 @@ reads and writes (see _stage); a stage reads only artifacts of earlier stages
 plus the config. A body opens the paths the runner checked and builds none.
 Its writes are the files it commits last, and the runner deletes them before
 the body runs, so a run that fails part way leaves none for a later stage.
+Every artifact is written through dataset.open_artifact, which rewrites an
+existing file in place rather than truncating it. A rerun that dies part way
+can therefore leave window or feature files half rewritten, and this
+delete-first, manifest-last protocol is what keeps a later stage from
+reading them: their manifest, checkpoint or report is gone until the stage
+that writes them completes.
 
 Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except wall-clock timing fields,
@@ -54,9 +60,8 @@ _ROW_BLOCK_BYTES = 2 << 20
 
 def _write_jsonl(path: Path, rows) -> None:
     """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with ds.open_artifact(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 class Stage(NamedTuple):

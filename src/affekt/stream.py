@@ -1,12 +1,17 @@
 """Streaming inference over a sliding window with intervention triggers.
 
 A window of window_len samples slides by hop_samples; every position runs
-the same chain as offline preprocessing (zero-phase filter, per-channel
-standard score, PSD feature matrix) and a forward pass. When the negative
-class wins argmax for trigger_consecutive windows in a row, one intervention
-event is emitted and the run counter resets, so non-overlapping runs map to
-distinct events. Per-window wall time is measured so callers can check the
-real-time budget hop_samples / fs.
+the steps of offline preprocessing and featurizing (zero-phase filter,
+per-channel standard score, PSD feature matrix) and a forward pass. The
+chain is not the offline one, though: preprocess filters and scores each
+whole recording and then cuts windows, while the stream, being causal,
+filters and scores each window alone. For the same samples the two feature
+matrices differ (on the 40-subject synthetic cohort by up to 0.95 standard
+units), so a decision here can differ from one made on that window's
+feature file. When the negative class wins argmax for trigger_consecutive
+windows in a row, one intervention event is emitted and the run counter
+resets, so non-overlapping runs map to distinct events. Per-window wall time
+is measured so callers can check the real-time budget hop_samples / fs.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affekt.dataset import (
     BINARY_CLASS_NAMES,
@@ -221,6 +223,40 @@ def test_smote_points_are_convex_combinations():
     for idx in np.flatnonzero(synthetic):
         originals = x[y == yb[idx]]
         assert is_convex_combination(xb[idx], originals, tol=1e-9)
+
+
+def _neighbour_segments(pts, k) -> tuple[np.ndarray, np.ndarray]:
+    """(start, step) of the segment from each row of pts to each of its k nearest
+    other rows (Euclidean; a row as far as the k-th counts too)."""
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    kth = np.sort(dist, axis=1)[:, k - 1:k]
+    i, j = np.nonzero(dist <= kth * (1 + 1e-9))
+    return pts[i], pts[j] - pts[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(2, 14), min_size=2, max_size=3),
+    dims=st.integers(1, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smote_synthetics_lie_between_a_sample_and_its_k_neighbours_property(
+    counts, dims, k, seed
+):
+    assume(all(c > k for c in counts if c < max(counts)))  # the classes SMOTE fills
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((sum(counts), dims)) * rng.uniform(0.1, 10.0, dims)
+    y = np.repeat(np.arange(len(counts)), counts)
+    xb, yb, synthetic = smote_resample(x, y, SmoteSpec(k_neighbors=k, seed=seed))
+    assert np.bincount(yb).tolist() == [max(counts)] * len(counts)
+    segments = {c: _neighbour_segments(x[y == c], k) for c in range(len(counts))}
+    for idx in np.flatnonzero(synthetic):
+        start, step = segments[yb[idx]]
+        u = ((xb[idx] - start) * step).sum(axis=1) / (step * step).sum(axis=1)
+        off = np.abs(start + u[:, None] * step - xb[idx]).max(axis=1)
+        assert np.any((u >= -1e-9) & (u <= 1 + 1e-9) & (off <= 1e-9))
 
 
 def test_smote_collinear_toy_set():

@@ -224,6 +224,26 @@ def test_welch_psd_equals_scipy_welch_property(case):
     assert got.shape == psd.shape and np.array_equal(got, psd)
 
 
+@settings(max_examples=120, deadline=None)
+@given(case=_welch_cases())
+def test_welch_psd_parseval_property(case):
+    # Discrete Parseval per segment: the density summed over every one-sided bin,
+    # times the bin spacing fs/seg, is the segment's Hann-weighted mean square
+    # after its mean is removed, sum(w**2 * y**2) / sum(w**2). Welch averages it
+    # over segments.
+    x, fs, spec = case
+    seg = spec.resolve_segment_len(fs)
+    hop = seg - int(round(seg * spec.overlap_fraction))
+    w2 = (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(seg) / seg)) ** 2
+    starts = range(0, x.shape[-1] - seg + 1, hop)
+    y = np.stack([x[..., s:s + seg] - x[..., s:s + seg].mean(axis=-1, keepdims=True)
+                  for s in starts])
+    expected = (w2 * y**2).sum(axis=-1).mean(axis=0) / w2.sum()
+    freqs, psd = welch_psd(x, fs, spec)
+    assert freqs[1] - freqs[0] == pytest.approx(fs / seg, rel=1e-12)
+    np.testing.assert_allclose(psd.sum(axis=-1) * (fs / seg), expected, rtol=1e-9)
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_welch_cases())
 def test_feature_values_equal_kept_band_of_welch_psd_property(case):
