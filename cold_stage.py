@@ -1,32 +1,28 @@
 """Fresh-process runs of one CLI stage from two trees, paired.
 
     python3 cold_stage.py --parent OLD_TREE --change NEW_TREE --workdir DIR \
-        [--stage train|preprocess|augment|entropy|featurize|stream] [--preset cnn-small] \
-        [--repeats 3]
+        [--stage STAGE] [--preset cnn-small] [--repeats 3]
 
-Each tree is a source checkout (its src/ is put on PYTHONPATH). The stage's
-inputs are built once with the change's tree and shared by both trees:
+Each tree is a source checkout (its src/ is put on PYTHONPATH). STAGE is any
+name in affekt.pipeline.STAGES, imported from the change's tree. Every stage
+before it, in STAGES order, is run once per preset with the change's tree into
+one cohort directory: the acceptance end-to-end cohort (40 subjects x 8 events
+x 128 channels, synth seed 101, 100 epochs, as in tests/test_acceptance.py),
+whose model is --preset. A stamp file marks each of these set-up stages that
+exited 0. Every earlier stage runs, not only the declared reads, because
+entropy and stream also open paths that STAGES does not list.
 
-- train: the acceptance end-to-end cohort (40 subjects x 8 events x 128
-  channels, synth seed 101, 100 epochs, as in tests/test_acceptance.py)
-  through synth, preprocess and featurize; --preset picks the model.
-- preprocess, augment, featurize: the same cohort through synth (and
-  preprocess, for augment and featurize).
-- entropy: the default config with 128 channels through synth, preprocess
-  and augment.
-- stream: the same cohort through synth, preprocess, featurize and a train of
-  3 epochs; the stream replays one 128-channel recording (sub-001).
-
-Each timed run then starts a new interpreter, as the CLI stage does, with one
-BLAS thread. Wall time comes from perf_counter around the child; user and
-system time, minor faults and max RSS come from the child's own rusage
-(os.wait4, the figures getrusage(RUSAGE_CHILDREN) reports for one child). The
-trees alternate which runs first, and after every pair the stage's artifacts
-of both (checkpoints and epoch logs; every file under windows/,
-windows_noisy/ or features/; reports/entropy.json; reports/interventions.jsonl,
-but not the stream's timing report) are compared byte for byte. A stream run
-also records its reports/stream_timing.json (first, median and mean window
-times). Prints one JSON object.
+Each tree's output directory links the cohort's top-level directories that
+the set-up stages write, except those that STAGE writes into. Each timed run
+then starts a new interpreter, as the CLI stage does, with one BLAS thread.
+Wall time comes from perf_counter around the child; user and system time,
+minor faults and max RSS come from the child's own rusage (os.wait4, the
+figures getrusage(RUSAGE_CHILDREN) reports for one child). The trees alternate
+which runs first, and after every pair each regular file that both wrote
+outside the links is compared byte for byte, except the wall-clock fields
+named in README's Determinism section: time_per_batch_ms in
+reports/metrics.json, and reports/stream_timing.json, which is recorded per
+run instead (first, median and mean window times). Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -42,53 +39,22 @@ from pathlib import Path
 
 E2E_COHORT = {"n_subjects": 40, "events_per_subject": 8, "channels": 128, "fs_hz": 512.0,
               "seed": 101}
+TIMING = Path("reports/stream_timing.json")
+METRICS = Path("reports/metrics.json")
+WALL_CLOCK = re.compile(rb'("time_per_batch_ms": )[^,\n}]*')  # its value, in METRICS
 
-STAGES = {
-    "train": {
-        "config": {"synth": E2E_COHORT, "train": {"max_epochs": 100}},
-        "inputs": ("synth", "preprocess", "featurize"),
-        "ready": "features/manifest.json",
-        "shared": ("features",),
-        "artifacts": ("model/task1_binary.ckpt", "model/task2_categorical.ckpt",
-                      "model/task1_binary_log.jsonl", "model/task2_categorical_log.jsonl"),
-    },
-    "preprocess": {
-        "config": {"synth": E2E_COHORT},
-        "inputs": ("synth",),
-        "ready": "raw/sub-040/events.tsv",  # the last file synth writes
-        "shared": ("raw",),
-        "artifacts": ("windows",),
-    },
-    "augment": {
-        "config": {"synth": E2E_COHORT},
-        "inputs": ("synth", "preprocess"),
-        "ready": "windows/windows.json",
-        "shared": ("windows",),
-        "artifacts": ("windows_noisy",),
-    },
-    "entropy": {
-        "config": {"synth": {"channels": 128}},
-        "inputs": ("synth", "preprocess", "augment"),
-        "ready": "windows_noisy/windows.json",
-        "shared": ("windows", "windows_noisy"),
-        "artifacts": ("reports/entropy.json",),
-    },
-    "featurize": {
-        "config": {"synth": E2E_COHORT},
-        "inputs": ("synth", "preprocess"),
-        "ready": "windows/windows.json",
-        "shared": ("windows",),
-        "artifacts": ("features",),
-    },
-    "stream": {
-        "config": {"synth": E2E_COHORT, "train": {"max_epochs": 3}},
-        "inputs": ("synth", "preprocess", "featurize", "train"),
-        "ready": "model/task2_categorical_log.jsonl",  # the last file train writes
-        "shared": ("raw", "model"),
-        "artifacts": ("reports/interventions.jsonl",),
-        "timing": "reports/stream_timing.json",
-    },
-}
+
+def setup_stages(stages: dict, stage: str) -> list[str]:
+    """The stages that run before stage, in pipeline order."""
+    return list(stages)[: list(stages).index(stage)]
+
+
+def linked_dirs(stages: dict, stage: str) -> list[str]:
+    """The top-level workdir directories that the set-up stages write and stage does not."""
+    def top(name):
+        return {rel.split("/")[0] for rel in stages[name].writes}
+
+    return sorted(set().union(*map(top, setup_stages(stages, stage))) - top(stage))
 
 
 def cli(tree: Path, stage: str, config: Path, out: Path) -> tuple[list[str], dict]:
@@ -98,13 +64,21 @@ def cli(tree: Path, stage: str, config: Path, out: Path) -> tuple[list[str], dic
             "--out", str(out)], env
 
 
-def same_bytes(a: Path, b: Path) -> bool:
-    """True if files a and b, or every file under directories a and b, are identical."""
-    if not a.is_dir():
-        return filecmp.cmp(a, b, shallow=False)
-    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    return names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file()) and all(
-        filecmp.cmp(a / n, b / n, shallow=False) for n in names)
+def written(out: Path) -> list[Path]:
+    """The regular files under out, relative to it; os.walk does not enter the links."""
+    return sorted(Path(d, f).relative_to(out) for d, _, files in os.walk(out) for f in files)
+
+
+def same_outputs(a: Path, b: Path) -> bool:
+    """True if a and b hold the same files, identical but for the wall-clock fields."""
+    def same(name: Path) -> bool:
+        if name == METRICS:
+            return WALL_CLOCK.sub(rb"\1", (a / name).read_bytes()) == WALL_CLOCK.sub(
+                rb"\1", (b / name).read_bytes())
+        return name == TIMING or filecmp.cmp(a / name, b / name, shallow=False)
+
+    names = written(a)
+    return names == written(b) and all(map(same, names))
 
 
 def timed(cmd: list[str], env: dict) -> dict:
@@ -125,46 +99,47 @@ def main() -> None:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workdir", type=Path, required=True)
-    ap.add_argument("--stage", choices=sorted(STAGES), default="train")
-    ap.add_argument("--preset", default="cnn-small", help="model preset (train only)")
+    ap.add_argument("--stage", default="train", help="a name in affekt.pipeline.STAGES")
+    ap.add_argument("--preset", default="cnn-small", help="model preset of the cohort")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    stage = STAGES[args.stage]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sys.path.insert(0, str(trees["change"] / "src"))
+    from affekt.pipeline import STAGES
+
+    if args.stage not in STAGES:
+        ap.error(f"--stage must be one of {list(STAGES)}, got {args.stage!r}")
     work = args.workdir.resolve()
     work.mkdir(parents=True, exist_ok=True)
-    label = args.preset if args.stage == "train" else args.stage
-    config = work / f"{label}.json"
-    shared = work / f"cohort-{args.stage}"
-    sections = dict(stage["config"])
-    if args.stage == "train":
-        sections["model"] = {"preset": args.preset}
-    config.write_text(json.dumps({**sections, "workdir": str(shared)}, indent=2))
-    if not (shared / stage["ready"]).exists():
-        for name in stage["inputs"]:
-            cmd, env = cli(trees["change"], name, config, shared)
+    config = work / f"{args.preset}.json"
+    cohort = work / f"cohort-{args.preset}"
+    config.write_text(json.dumps({"synth": E2E_COHORT, "train": {"max_epochs": 100},
+                                  "model": {"preset": args.preset}, "workdir": str(cohort)},
+                                 indent=2))
+    for name in setup_stages(STAGES, args.stage):
+        stamp = cohort / f"{name}.done"
+        if not stamp.exists():
+            cmd, env = cli(trees["change"], name, config, cohort)
             subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
-    commands, runs, identical = {}, {name: [] for name in trees}, []
+            stamp.touch()
+    commands, runs, identical, outs = {}, {name: [] for name in trees}, [], {}
     for name in trees:
-        out = work / f"{label}-{name}"
+        outs[name] = out = work / f"{args.stage}-{args.preset}-{name}"
         out.mkdir(exist_ok=True)
-        for folder in stage["shared"]:
+        for folder in linked_dirs(STAGES, args.stage):
             if not (out / folder).exists():
-                (out / folder).symlink_to(shared / folder)
+                (out / folder).symlink_to(cohort / folder)
         commands[name] = cli(trees[name], args.stage, config, out)
     for rep in range(args.repeats):
         order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
         for name in order:
             runs[name].append(timed(*commands[name]))
-            if "timing" in stage:
-                report = work / f"{label}-{name}" / stage["timing"]
-                runs[name][-1]["timing"] = json.loads(report.read_text())
-        identical.append(all(
-            same_bytes(work / f"{label}-parent" / f, work / f"{label}-change" / f)
-            for f in stage["artifacts"]))
+            if str(TIMING) in STAGES[args.stage].writes:
+                runs[name][-1]["timing"] = json.loads((outs[name] / TIMING).read_text())
+        identical.append(same_outputs(outs["parent"], outs["change"]))
     print(json.dumps({
         "stage": args.stage,
-        "preset": args.preset if args.stage == "train" else None,
+        "preset": args.preset,
         "commands": {name: {"argv": cmd,
                             "env": {k: env[k] for k in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")}}
                      for name, (cmd, env) in commands.items()},

@@ -18,6 +18,7 @@ infinite (json.load accepts both).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,13 +221,4 @@ def apply_seed_override(cfg: PipelineConfig, seed: int) -> None:
 
 def default_config_dict(workdir: str = "runs/demo") -> dict:
     """A complete config with every key explicit; handy as a starting file."""
-    cfg = PipelineConfig(workdir=workdir)
-    out: dict = {"workdir": workdir}
-    for name in _SECTIONS:
-        section = getattr(cfg, name)
-        entry = dataclasses.asdict(section)
-        for key, value in entry.items():
-            if isinstance(value, tuple):
-                entry[key] = list(value)
-        out[name] = entry
-    return out
+    return json.loads(json.dumps(dataclasses.asdict(PipelineConfig(workdir=workdir))))

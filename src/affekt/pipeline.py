@@ -2,9 +2,14 @@
 
 STAGES lists the stages in pipeline order with the workdir paths each one
 reads and writes (see _stage); a stage reads only artifacts of earlier stages
-plus the config. A body opens the paths the runner checked and builds none.
-Its writes are the files it commits last, and the runner deletes them before
-the body runs, so a run that fails part way leaves none for a later stage.
+plus the config. A body opens the paths the runner checked and builds none,
+with two exceptions that are not among STAGES' reads. entropy requires
+windows_noisy/windows.json only after its ScaleTooLarge check, so a scale too
+large for the windows is named even before augment has run; stream requires
+raw/<stream.source_subject>/, a path that the config names, so that a missing
+subject names that key. A stage's writes are the files it commits last, and
+the runner deletes them before the body runs, so a run that fails part way
+leaves none for a later stage.
 Every artifact is written through dataset.open_artifact, which rewrites an
 existing file in place rather than truncating it. A rerun that dies part way
 can therefore leave window or feature files half rewritten, and this
@@ -40,6 +45,7 @@ from .config import PipelineConfig
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
 from .errors import (
     EmptyEvaluationSet,
+    InvalidFormat,
     LayoutMismatch,
     MissingFile,
     RecordingTooShort,
@@ -211,6 +217,8 @@ def _window_source(manifest_path: Path, manifest: dict | None = None) -> tuple[d
     """The window manifest at manifest_path, and a reader of one record's window there;
     a given manifest stands in for the file, whose windows have its shape."""
     manifest = ds.read_json_object(manifest_path) if manifest is None else manifest
+    if not manifest["windows"]:
+        raise InvalidFormat(f"{manifest_path} lists no windows")
     shape = (len(manifest["channel_names"]), manifest["window_len"])
     return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
 
@@ -436,10 +444,7 @@ def _as_batches(items, n_classes: int, batch_size: int, rng: np.random.Generator
     batches = []
     for chunk in ds.make_batches(items, batch_size):
         x = np.stack([read_feature_file(path)[0] for path, _ in chunk])
-        y = np.zeros((len(chunk), n_classes))
-        for row, (_, label) in enumerate(chunk):
-            y[row, label] = 1.0
-        batches.append((x, y))
+        batches.append((x, np.eye(n_classes)[[label for _, label in chunk]]))
     return batches
 
 

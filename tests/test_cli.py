@@ -866,6 +866,27 @@ def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
     assert expected in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "stage, writes",
+    [("augment", "windows_noisy/windows.json"),
+     ("entropy", "reports/entropy.json"),
+     ("featurize", "features/manifest.json")],
+)
+def test_window_manifest_without_windows_is_usage_error(capsys, tmp_path, stage, writes):
+    path = tiny_config(tmp_path)
+    run_dir = tmp_path / "run"
+    for name in ("synth", "preprocess", "augment"):
+        assert run_cli([name, "--config", str(path)], capsys)[0] == 0
+    manifest = run_dir / "windows" / "windows.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "windows": []}))
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert payload["message"] == f"{manifest} lists no windows"
+    assert not (run_dir / writes).exists()
+
+
 def test_synth_subjects_independent_across_seeds(capsys, tmp_path):
     # --seed N gives synth.seed N + 1; subject streams must not coincide
     # across neighbouring seeds (under seed ^ index, 2 ^ 0 == 3 ^ 1).
