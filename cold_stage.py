@@ -19,10 +19,9 @@ Wall time comes from perf_counter around the child; user and system time,
 minor faults and max RSS come from the child's own rusage (os.wait4, the
 figures getrusage(RUSAGE_CHILDREN) reports for one child). The trees alternate
 which runs first, and after every pair each regular file that both wrote
-outside the links is compared byte for byte, except the wall-clock fields
-named in README's Determinism section: time_per_batch_ms in
-reports/metrics.json, and reports/stream_timing.json, which is recorded per
-run instead (first, median and mean window times). Prints one JSON object.
+outside the links is compared byte for byte, except reports/stream_timing.json,
+the wall-clock file named in README's Determinism section, which is recorded
+per run instead (first, median and mean window times). Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import argparse
 import filecmp
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -40,8 +38,6 @@ from pathlib import Path
 E2E_COHORT = {"n_subjects": 40, "events_per_subject": 8, "channels": 128, "fs_hz": 512.0,
               "seed": 101}
 TIMING = Path("reports/stream_timing.json")
-METRICS = Path("reports/metrics.json")
-WALL_CLOCK = re.compile(rb'("time_per_batch_ms": )[^,\n}]*')  # its value, in METRICS
 
 
 def setup_stages(stages: dict, stage: str) -> list[str]:
@@ -70,11 +66,8 @@ def written(out: Path) -> list[Path]:
 
 
 def same_outputs(a: Path, b: Path) -> bool:
-    """True if a and b hold the same files, identical but for the wall-clock fields."""
+    """True if a and b hold the same files, identical but for the stream's timing."""
     def same(name: Path) -> bool:
-        if name == METRICS:
-            return WALL_CLOCK.sub(rb"\1", (a / name).read_bytes()) == WALL_CLOCK.sub(
-                rb"\1", (b / name).read_bytes())
         return name == TIMING or filecmp.cmp(a / name, b / name, shallow=False)
 
     names = written(a)

@@ -87,15 +87,13 @@ class LabeledWindow:
 
 def _require(path: Path) -> Path:
     if not path.exists():
-        raise MissingFile(str(path))
+        raise MissingFile(f"{path} does not exist")
     return path
 
 
 def read_json_object(path: Path) -> dict:
     """Parse a file holding one JSON object; InvalidFormat names the file if it does not."""
-    if not path.exists():
-        raise MissingFile(f"{path} does not exist")
-    if not path.is_file():
+    if not _require(path).is_file():
         raise InvalidFormat(f"{path} is not a file")
     try:
         with open(path, encoding="utf-8") as fh:

@@ -18,9 +18,8 @@ reading them: their manifest, checkpoint or report is gone until the stage
 that writes them completes.
 
 Stages are pure functions of (inputs, config): re-running one with the same
-seeds rewrites byte-identical artifacts, except wall-clock timing fields,
-which are confined to metrics.json's time_per_batch_ms and the separate
-stream_timing.json.
+seeds rewrites byte-identical artifacts, except stream_timing.json, which
+holds the stream's wall-clock window times.
 
 JSON objects and float32 payloads are written by the dataset module, JSONL logs
 by _write_jsonl; the emotion table is a plain dict from name to id.
@@ -511,9 +510,8 @@ def cmd_eval(
 ) -> dict:
     manifest = ds.read_json_object(manifest_path)
     metrics: dict = {}
-    times = []
     for (task_key, (task, _)), ckpt in zip(TASKS.items(), (ckpt1, ckpt2)):
-        cnn_cfg, params, _meta = load_checkpoint(ckpt)
+        cnn_cfg, params, meta = load_checkpoint(ckpt)
         by_split, class_names = _task_items(manifest_path, manifest, task)
         n_classes = len(class_names)
         data = (manifest["n_channels"], manifest["n_bins"], n_classes)
@@ -523,11 +521,14 @@ def cmd_eval(
                 f"{ckpt} takes (channels, bins, classes) {model}, but {manifest_path} "
                 f"holds {data}; run the train stage again"
             )
+        if meta.get("class_names") != class_names:
+            raise StaleArtifact(
+                f"{ckpt} orders its classes {meta.get('class_names')}, but {manifest_path} "
+                f"orders them {class_names}; run the train stage again"
+            )
         test_batches = _as_batches(by_split["test"], n_classes, cfg.split.batch_size, None)
-        loss, accuracy, ms_per_batch = evaluate(params, cnn_cfg, test_batches)
-        times.append(ms_per_batch)
+        loss, accuracy = evaluate(params, cnn_cfg, test_batches)
         metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
-    metrics["time_per_batch_ms"] = float(np.mean(times))
     ds.write_json_object(metrics_path, metrics)
     return metrics
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import EmotionEvent, write_events, write_json_object, write_window_file
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, StaleArtifact
 
 MUSE_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
 
@@ -121,19 +121,24 @@ def _channel_names(n_channels: int) -> list[str]:
 
 
 def synth_generate(out_dir, spec: SynthSpec, window_len: int) -> dict:
-    """Write spec.n_subjects subject directories under out_dir; returns a report."""
+    """Write spec.n_subjects subject directories under out_dir, which may hold no other
+    directory (StaleArtifact: synth leaves alone what it did not write); returns a report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    subject_ids = [f"sub-{idx + 1:03d}" for idx in range(spec.n_subjects)]
+    for path in sorted(out_dir.iterdir()):
+        if path.is_dir() and path.name not in subject_ids:
+            raise StaleArtifact(f"{path} is not one of the {spec.n_subjects} subjects that synth "
+                                "writes; remove it or choose another workdir")
     channels, fs_hz = spec.channels, spec.fs_hz
     names = _channel_names(channels)
     slot = window_len + GAP_SAMPLES
     n_samples = LEAD_SAMPLES + spec.events_per_subject * slot
 
     # SeedSequence children are independent across subjects and across seeds;
-    # arithmetic like seed ^ subject_idx is not (2 ^ 0 == 3 ^ 1).
+    # arithmetic like seed ^ subject index is not (2 ^ 0 == 3 ^ 1).
     subject_seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_subjects)
-    for subject_idx, subject_seed in enumerate(subject_seeds):
-        subject_id = f"sub-{subject_idx + 1:03d}"
+    for subject_id, subject_seed in zip(subject_ids, subject_seeds):
         rng = np.random.default_rng(subject_seed)
         roster = [name for name, count in sorted(spec.class_mix.items()) for _ in range(count)]
         roster = [roster[i] for i in rng.permutation(len(roster))]

@@ -8,7 +8,6 @@ returned tensors are the snapshot taken when that epoch finished).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +112,8 @@ class TrainResult:
 
 def evaluate(
     params: dict, cfg: CnnConfig, batches, workspace: Workspace | None = None
-) -> tuple[float, float, float]:
-    """(mean loss, accuracy, mean forward ms per batch), sample-weighted.
+) -> tuple[float, float]:
+    """(mean loss, accuracy), sample-weighted.
 
     batches is a list of (x, onehot) pairs. Without a workspace, one is made
     for this call and shared by its batches.
@@ -126,17 +125,14 @@ def evaluate(
     total_loss = 0.0
     total_correct = 0
     total_n = 0
-    times = []
     for x, y in batches:
-        t0 = time.perf_counter()
         probs = forward(params, cfg, x, workspace)
-        times.append((time.perf_counter() - t0) * 1e3)
         total_loss += cross_entropy(probs, y) * len(x)
         total_correct += int((probs.argmax(axis=1) == y.argmax(axis=1)).sum())
         total_n += len(x)
     if total_n == 0:
         raise EmptyEvaluationSet("batches contain no samples")
-    return total_loss / total_n, total_correct / total_n, float(np.mean(times))
+    return total_loss / total_n, total_correct / total_n
 
 
 def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> TrainResult:
@@ -174,7 +170,7 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
             loss_sum += loss * len(x)
             n_sum += len(x)
         train_loss = loss_sum / n_sum
-        val_loss, val_acc, _ = evaluate(params, cfg, val_batches, workspace)
+        val_loss, val_acc = evaluate(params, cfg, val_batches, workspace)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss not finite at epoch {epoch}")
         epoch_log.append(EpochRecord(epoch, lr, train_loss, val_loss, val_acc))

@@ -13,6 +13,7 @@ import pytest
 
 import affekt
 from affekt import pipeline
+from affekt.checkpoint import load_checkpoint
 from affekt.cli import main
 from affekt.config import (
     MODEL_PRESETS,
@@ -477,6 +478,66 @@ def test_stream_with_other_psd_bins_names_stale_checkpoint(capsys, tmp_path, tra
     assert not (run_dir / "reports" / "interventions.jsonl").exists()
 
 
+
+def test_eval_of_features_with_other_class_order_names_stale_checkpoint(capsys, tmp_path):
+    # the emotion table numbers classes in first-seen order, so the synth seed
+    # decides it; a checkpoint of another order would score the wrong classes
+    synth = {"n_subjects": 6, "events_per_subject": 8, "channels": 4, "fs_hz": 512.0}
+    path = tiny_config(tmp_path, synth={**synth, "seed": 1})
+    for stage in ("synth", "preprocess", "featurize", "train"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    path = tiny_config(tmp_path, synth={**synth, "seed": 3})
+    for stage in ("synth", "preprocess", "featurize"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    run_dir = tmp_path / "run"
+    ckpt = run_dir / "model" / "task2_categorical.ckpt"
+    trained = load_checkpoint(ckpt)[2]["class_names"]
+    table = json.loads((run_dir / "features" / "manifest.json").read_text())["emotion_table"]
+    current = sorted(table, key=table.get)
+    assert sorted(trained) == sorted(current) and trained != current
+    code, _, err = run_cli(["eval", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "StaleArtifact"
+    for part in (str(ckpt), str(run_dir / "features" / "manifest.json"), str(trained),
+                 str(current)):
+        assert part in payload["message"]
+    assert not (run_dir / "reports" / "metrics.json").exists()
+
+
+def test_synth_refuses_subjects_of_an_earlier_cohort(capsys, tmp_path):
+    assert run_cli(["synth", "--config", str(tiny_config(tmp_path))], capsys)[0] == 0
+    raw = tmp_path / "run" / "raw"
+    before = (raw / "sub-001" / "eeg.f32").read_bytes()
+    path = tiny_config(tmp_path, synth={"n_subjects": 4, "events_per_subject": 8,
+                                        "channels": 4, "fs_hz": 512.0, "seed": 12})
+    code, _, err = run_cli(["synth", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "StaleArtifact"
+    assert str(raw / "sub-005") in payload["message"]
+    # refused before writing, and nothing removed: raw/ may be a user's dataset
+    assert (raw / "sub-001" / "eeg.f32").read_bytes() == before
+    assert sorted(p.name for p in raw.iterdir()) == [f"sub-{i:03d}" for i in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "stage, earlier, missing",
+    [("preprocess", (), lambda run_dir: run_dir / "raw" / "sub-002" / "events.tsv"),
+     ("featurize", ("preprocess",), _first_analysed_window)],
+    ids=["events", "window"],
+)
+def test_missing_input_file_message_says_it_does_not_exist(capsys, tmp_path, stage, earlier,
+                                                           missing):
+    path = tiny_config(tmp_path)
+    for name in ("synth", *earlier):
+        assert run_cli([name, "--config", str(path)], capsys)[0] == 0
+    missing = missing(tmp_path / "run")
+    missing.unlink()
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2
+    assert json.loads(err) == {"error": "MissingFile", "message": f"{missing} does not exist"}
+
 def test_window_stage_peaks_do_not_grow_with_the_cohort(tmp_path):
     # preprocess, augment and featurize hold one recording or one window at a
     # time, so doubling the cohort adds far less to their peaks than the
@@ -532,14 +593,9 @@ def _tree_digest(root: Path) -> dict[str, str]:
     digests = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = str(path.relative_to(root))
-        payload = path.read_bytes()
         if rel == "reports/stream_timing.json":
             continue
-        if rel == "reports/metrics.json":
-            doc = json.loads(payload)
-            doc.pop("time_per_batch_ms")
-            payload = json.dumps(doc, sort_keys=True).encode()
-        digests[rel] = hashlib.sha256(payload).hexdigest()
+        digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 

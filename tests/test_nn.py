@@ -165,6 +165,7 @@ def test_backward_rejects_wrong_target_shape(targets, monkeypatch):
         backward(params, cfg, np.zeros((6, 4, 8)), np.zeros(targets))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_activation_guard():
     cfg = small_config([(4, 2, False)])
     params = init_params(cfg)
