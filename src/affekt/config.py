@@ -9,10 +9,10 @@ A section whose stage has a spec class (synth, window, noise, entropy, psd,
 smote, split, train) is an instance of that class, so each section is
 validated by its stage's own rules when the file is loaded: a bad value fails
 as InvalidFormat naming the section before any stage runs. The filter, model
-and stream sections run their spec's rules on the values they hold. First, an
-int, float or str key takes only a value of its default's type (an int for a
-float; never a bool), every seed must be >= 0, and no number may be NaN or
-infinite (json.load accepts both).
+and stream sections run their spec's rules on the values they hold. First, a
+key whose default is an int, float, str or dict takes only a value of that
+JSON kind (dataset's kinds: an int for a float; never a bool), every seed must
+be >= 0, and no number may be NaN or infinite (json.load accepts both).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, read_json_object
+from .dataset import (_KINDS, DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, _check_keys,
+                      read_json_object)
 from .entropy import EntropyParams, NoiseSpec
 from .errors import AffektError, InvalidFormat
 from .features import PsdSpec
@@ -152,10 +153,6 @@ class PipelineConfig:
 _SECTIONS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "workdir")
 
 
-# Value types a key accepts, by its default's type; other keys are left to the section's rules.
-_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
-
-
 def _finite(value) -> bool:
     """False if value is, or a list or object in it holds, a NaN or infinite float."""
     if isinstance(value, float):
@@ -172,13 +169,11 @@ def _build_section(default, data, where: str):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(default)})
     if unknown:
         raise InvalidFormat(f"config section {where!r}: unknown keys {unknown}")
+    # a key whose default is of no kind (a tuple, None, a bool) is left to the section's rules
+    kinds = {key: kind for key in data if (kind := type(getattr(default, key))) in _KINDS}
+    _check_keys(f"config section {where!r}", [data], kinds)
     coerced = {}
     for key, value in data.items():
-        accepted = _TYPES.get(type(getattr(default, key)))
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted[0])):
-            raise InvalidFormat(
-                f"config section {where!r}: {key} must be {accepted[1]}, got {value!r}"
-            )
         if key == "seed" and value < 0:
             raise InvalidFormat(f"config section {where!r}: seed must be >= 0, got {value!r}")
         if not _finite(value):
@@ -193,12 +188,11 @@ def _build_section(default, data, where: str):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if "workdir" not in data:
-        raise InvalidFormat("config is missing required key 'workdir'")
+    _check_keys("config", [data], {"workdir": str})
     unknown = sorted(set(data) - set(_SECTIONS) - {"workdir"})
     if unknown:
         raise InvalidFormat(f"config: unknown top-level keys {unknown}")
-    cfg = PipelineConfig(workdir=str(data["workdir"]))
+    cfg = PipelineConfig(workdir=data["workdir"])
     for name in _SECTIONS:
         setattr(cfg, name, _build_section(getattr(cfg, name), data.get(name, {}), name))
     return cfg

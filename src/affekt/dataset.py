@@ -12,6 +12,8 @@ thresholds. Ratings in the open middle band have no binary polarity.
 
 The writers of JSON objects, events tables and float32 payloads live here too,
 beside their readers; eeg.f32 and the window files share one payload format.
+The config, eeg.json and both manifests name their keys once, each with the kind
+of value it holds; `_check_keys` refuses a missing key or one of another kind.
 Every artifact writer in the package opens its file through `open_artifact`,
 which writes over an existing file in place instead of truncating it first.
 """
@@ -105,6 +107,35 @@ def read_json_object(path: Path) -> dict:
     return obj
 
 
+# The kinds of JSON value a key may hold, by the type that names each: a float key
+# takes an int too, and true and false are neither. A tuple lists the values allowed.
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_MISSING = object()
+_SIDECAR_KEYS = {"channel_names": list, "n_samples": int, "sample_rate_hz": float, "subject_id": str}
+
+
+def _all_of_kind(values: list, kind) -> bool:
+    types = set(map(type, values))
+    if isinstance(kind, tuple):
+        return types <= set(map(type, kind)) and set(values) <= set(kind)
+    return types <= ({int, float} if kind is float else {kind})
+
+
+def _check_keys(path, objs: list, keys: dict, where: str = "") -> None:
+    """InvalidFormat naming path, where (formatted with the object's index) and the key unless
+    each of objs holds each key of keys with a value of its kind; one pass per key."""
+    if (i := next((i for i, obj in enumerate(objs) if type(obj) is not dict), -1)) >= 0:
+        raise InvalidFormat(f"{path}: {where.format(i)}must be an object, got {objs[i]!r}")
+    for key, kind in keys.items():
+        values = [obj.get(key, _MISSING) for obj in objs]
+        if not _all_of_kind(values, kind):
+            i, value = next((i, v) for i, v in enumerate(values) if not _all_of_kind([v], kind))
+            if value is _MISSING:
+                raise InvalidFormat(f"{path}: {where.format(i)}missing key {key!r}")
+            want = f"one of {list(kind)}" if isinstance(kind, tuple) else _KINDS[kind]
+            raise InvalidFormat(f"{path}: {where.format(i)}{key} must be {want}, got {value!r}")
+
+
 @contextmanager
 def open_artifact(path, mode: str = "wb", **kwargs):
     """Open path for writing ("w" or "wb", with open's keyword arguments) without
@@ -134,19 +165,11 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     events_path = _require(subject_dir / "events.tsv")
 
     sidecar = read_json_object(sidecar_path)
-    try:
-        names = list(sidecar["channel_names"])
-        n_samples = sidecar["n_samples"]
-        rate = sidecar["sample_rate_hz"]
-        fs_hz = float(rate)
-        subject_id = str(sidecar["subject_id"])
-    except KeyError as exc:
-        raise InvalidFormat(f"{sidecar_path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidFormat(f"{sidecar_path}: {exc}") from exc
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
+    _check_keys(sidecar_path, [sidecar], _SIDECAR_KEYS)
+    names, n_samples, rate = sidecar["channel_names"], sidecar["n_samples"], sidecar["sample_rate_hz"]
+    if n_samples < 0:
         raise InvalidFormat(f"{sidecar_path}: n_samples must be an integer >= 0, got {n_samples!r}")
-    if isinstance(rate, bool) or not 0 < fs_hz < math.inf:
+    if not 0 < rate < math.inf:
         raise InvalidFormat(f"{sidecar_path}: sample_rate_hz must be finite and > 0, got {rate!r}")
     raw = _read_f32(data_path, len(names), n_samples, "sidecar")
     bad = np.flatnonzero(~np.isfinite(raw))
@@ -155,7 +178,7 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
         raise NonFiniteSample(
             f"{data_path}: channel {names[channel]!r} sample {sample} is {raw[channel, sample]}"
         )
-    return Recording(subject_id, fs_hz, names, raw), _load_events(events_path)
+    return Recording(sidecar["subject_id"], float(rate), names, raw), _load_events(events_path)
 
 
 def _load_events(events_path: Path) -> list[EmotionEvent]:
@@ -443,3 +466,39 @@ def _read_f32(path, n_channels: int, n_samples: int, shape_from: str) -> np.ndar
 
 def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
     return _read_f32(_require(Path(path)), n_channels, window_len, "manifest").astype(np.float64)
+
+
+# --- the manifests that preprocess and featurize write for later stages ---
+
+_WINDOW_MANIFEST_KEYS = {"sample_rate_hz": float, "window_len": int, "channel_names": list,
+                         "emotion_table": dict, "windows": list, "split_order": dict}
+_WINDOW_KEYS = {"id": str, "file": str, "split": SPLIT_NAMES, "binary": (None, *BINARY_CLASS_NAMES)}
+_FEATURE_MANIFEST_KEYS = {"source": str, "n_channels": int, "n_bins": int, "emotion_table": dict,
+                          "train_order": list, "records": list}
+_FEATURE_KEYS = {**_WINDOW_KEYS, "task": ("both", "binary", "categorical")}
+
+
+def read_window_manifest(path: Path) -> dict:
+    """The window manifest at path, once each key a stage reads is checked (not its files)."""
+    manifest = read_json_object(path)
+    _check_keys(path, [manifest], _WINDOW_MANIFEST_KEYS)
+    windows, train = manifest["windows"], manifest["split_order"].get("train")
+    if not windows:
+        raise InvalidFormat(f"{path} lists no windows")
+    categorical = tuple(manifest["emotion_table"].values())
+    _check_keys(path, windows, {**_WINDOW_KEYS, "categorical": categorical}, "window {}: ")
+    ids = [w["id"] for w in windows]
+    if len(known := set(ids)) < len(ids):
+        raise InvalidFormat(f"{path}: window id {max(ids, key=ids.count)!r} is listed twice")
+    if not (type(train) is list and _all_of_kind(train, str) and known.issuperset(train)):
+        raise InvalidFormat(f"{path}: split_order: train must be a list of window ids")
+    return manifest
+
+
+def read_feature_manifest(path: Path) -> dict:
+    """The feature manifest at path, once each key that a stage reads is checked."""
+    manifest = read_json_object(path)
+    _check_keys(path, [manifest], _FEATURE_MANIFEST_KEYS)
+    keys = {**_FEATURE_KEYS, "categorical": (None, *manifest["emotion_table"].values())}
+    _check_keys(path, manifest["records"], keys, "record {}: ")
+    return manifest

@@ -195,9 +195,9 @@ def write_feature_file(path, values: np.ndarray, label_id: int) -> None:
         fh.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
-def read_feature_file(path) -> tuple[np.ndarray, int]:
-    """(values as float64, label id); a missing file, bad header, size or a
-    non-finite value is a usage error naming the file."""
+def read_feature_file(path, shape=None, shape_from="the manifest") -> tuple[np.ndarray, int]:
+    """(values as float64, label id); a missing file, bad header, size or a non-finite value,
+    or dims other than shape_from's (n_channels, n_bins) shape, is a usage error naming it."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -212,6 +212,9 @@ def read_feature_file(path) -> tuple[np.ndarray, int]:
         version, n_channels, n_bins, label_id = struct.unpack("<IIII", header)
         if version != FEATURE_VERSION:
             raise InvalidFormat(f"{path}: unsupported version {version}")
+        if shape is not None and (n_channels, n_bins) != tuple(shape):
+            raise PayloadSizeMismatch(f"{path}: header says {n_channels}x{n_bins}, {shape_from}'s "
+                                      f"n_channels x n_bins say {shape[0]}x{shape[1]}")
         raw = fh.read()
     if len(raw) % 4:
         raise InvalidFormat(f"{path}: payload truncated mid-float")

@@ -21,8 +21,8 @@ Stages are pure functions of (inputs, config): re-running one with the same
 seeds rewrites byte-identical artifacts, except stream_timing.json, which
 holds the stream's wall-clock window times.
 
-JSON objects and float32 payloads are written by the dataset module, JSONL logs
-by _write_jsonl; the emotion table is a plain dict from name to id.
+The dataset module reads and checks both manifests and writes JSON objects and float32
+payloads, _write_jsonl writes JSONL logs; the emotion table maps each name to its id.
 """
 
 from __future__ import annotations
@@ -152,13 +152,17 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
     windows: list[ds.LabeledWindow] = []  # metadata only; each window's data is on disk
     n_events = 0
     first = None
+    sidecars: dict[str, Path] = {}  # by subject id, which prefixes each window id
     for subject_dir in subject_dirs:
         rec, events = ds.load_recording(subject_dir)
+        sidecar = subject_dir / "eeg.json"
+        if (other := sidecars.setdefault(rec.subject_id, sidecar)) != sidecar:
+            raise InvalidFormat(f"{sidecar}: subject_id {rec.subject_id!r} is {other}'s too")
         if first is None:
             first = replace(rec, data=np.empty((rec.n_channels, 0)))  # its layout only
             realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
         else:
-            _check_layout(subject_dir / "eeg.json", rec, first)
+            _check_layout(sidecar, rec, first)
         rows = max(1, _ROW_BLOCK_BYTES // (8 * max(rec.n_samples, 1)))
         try:
             for block in np.split(rec.data, range(rows, rec.n_channels, rows)):
@@ -215,9 +219,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
 def _window_source(manifest_path: Path, manifest: dict | None = None) -> tuple[dict, Callable]:
     """The window manifest at manifest_path, and a reader of one record's window there;
     a given manifest stands in for the file, whose windows have its shape."""
-    manifest = ds.read_json_object(manifest_path) if manifest is None else manifest
-    if not manifest["windows"]:
-        raise InvalidFormat(f"{manifest_path} lists no windows")
+    manifest = ds.read_window_manifest(manifest_path) if manifest is None else manifest
     shape = (len(manifest["channel_names"]), manifest["window_len"])
     return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
 
@@ -297,9 +299,7 @@ def _task_label(record: dict, task: str) -> int | None:
     """Class index of a feature record for task, None if it has no label there."""
     if record["task"] not in ("both", task) or record[task] is None:
         return None
-    if task == "categorical":
-        return int(record["categorical"])
-    return ds.BINARY_CLASS_NAMES.index(record["binary"])
+    return record[task] if task == "categorical" else ds.BINARY_CLASS_NAMES.index(record[task])
 
 
 def _write_smote_records(
@@ -418,11 +418,8 @@ def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_path: Path) 
 def _task_items(manifest_path: Path, manifest: dict, task: str):
     """Per split, the (feature file path, class index) pairs of one task, in train
     order; and the task's class names, in class index order."""
-    if task == "binary":
-        names = list(ds.BINARY_CLASS_NAMES)
-    else:
-        table = manifest["emotion_table"]
-        names = sorted(table, key=table.get)
+    table = manifest["emotion_table"]
+    names = list(ds.BINARY_CLASS_NAMES) if task == "binary" else sorted(table, key=table.get)
     by_split: dict[str, list] = {"train": [], "val": [], "test": []}
     id_order = {rid: pos for pos, rid in enumerate(manifest["train_order"])}
     records = sorted(
@@ -436,13 +433,20 @@ def _task_items(manifest_path: Path, manifest: dict, task: str):
     return by_split, names
 
 
-def _as_batches(items, n_classes: int, batch_size: int, rng: np.random.Generator | None):
+def _feature_source(manifest_path: Path) -> tuple[dict, Callable]:
+    """The feature manifest at manifest_path, and a reader of one feature file's values."""
+    manifest = ds.read_feature_manifest(manifest_path)
+    shape = (manifest["n_channels"], manifest["n_bins"])
+    return manifest, lambda path: read_feature_file(path, shape, manifest_path)[0]
+
+
+def _as_batches(items, read: Callable, n_classes: int, batch_size: int, rng):
     """Read the feature files of (path, label) items into (x, onehot) batches."""
     if rng is not None and len(items) > 1:
         items = [items[i] for i in rng.permutation(len(items))]
     batches = []
     for chunk in ds.make_batches(items, batch_size):
-        x = np.stack([read_feature_file(path)[0] for path, _ in chunk])
+        x = np.stack([read(path) for path, _ in chunk])
         batches.append((x, np.eye(n_classes)[[label for _, label in chunk]]))
     return batches
 
@@ -461,7 +465,7 @@ TASKS = {
 def cmd_train(
     cfg: PipelineConfig, manifest_path: Path, ckpt1: Path, ckpt2: Path, log1: Path, log2: Path
 ) -> dict:
-    manifest = ds.read_json_object(manifest_path)
+    manifest, read = _feature_source(manifest_path)
     report = {}
     for offset, (task_key, (task, _)) in enumerate(TASKS.items()):
         ckpt, log = (ckpt1, ckpt2)[offset], (log1, log2)[offset]
@@ -470,8 +474,8 @@ def cmd_train(
             raise EmptyEvaluationSet(f"{task}: empty train or val split")
         n_classes = len(class_names)
         rng = np.random.default_rng(cfg.train.seed + offset)
-        train_batches = _as_batches(by_split["train"], n_classes, cfg.split.batch_size, rng)
-        val_batches = _as_batches(by_split["val"], n_classes, cfg.split.batch_size, None)
+        train_batches = _as_batches(by_split["train"], read, n_classes, cfg.split.batch_size, rng)
+        val_batches = _as_batches(by_split["val"], read, n_classes, cfg.split.batch_size, None)
         cnn_cfg = CnnConfig(
             input_channels=manifest["n_channels"],
             input_bins=manifest["n_bins"],
@@ -508,7 +512,7 @@ def cmd_train(
 def cmd_eval(
     cfg: PipelineConfig, manifest_path: Path, ckpt1: Path, ckpt2: Path, metrics_path: Path
 ) -> dict:
-    manifest = ds.read_json_object(manifest_path)
+    manifest, read = _feature_source(manifest_path)
     metrics: dict = {}
     for (task_key, (task, _)), ckpt in zip(TASKS.items(), (ckpt1, ckpt2)):
         cnn_cfg, params, meta = load_checkpoint(ckpt)
@@ -526,7 +530,7 @@ def cmd_eval(
                 f"{ckpt} orders its classes {meta.get('class_names')}, but {manifest_path} "
                 f"orders them {class_names}; run the train stage again"
             )
-        test_batches = _as_batches(by_split["test"], n_classes, cfg.split.batch_size, None)
+        test_batches = _as_batches(by_split["test"], read, n_classes, cfg.split.batch_size, None)
         loss, accuracy = evaluate(params, cnn_cfg, test_batches)
         metrics[task_key] = {f"{task}_loss": loss, f"{task}_accuracy": accuracy}
     ds.write_json_object(metrics_path, metrics)

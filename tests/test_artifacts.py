@@ -121,3 +121,17 @@ def test_every_write_goes_through_open_artifact():
                                        HELPER[1] if path.name == HELPER[0] else None)
     ]
     assert not found, "open files for writing through dataset.open_artifact:\n" + "\n".join(found)
+
+
+def test_every_manifest_read_goes_through_its_reader():
+    # dataset.read_window_manifest and read_feature_manifest check each key a
+    # stage reads; a stage that parsed a manifest itself would skip the checks
+    tree = ast.parse(Path(pipeline.__file__).read_text())
+    found = [
+        f"pipeline.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+        in ("read_json_object", "load", "loads")
+    ]
+    assert not found, "read manifests through their dataset readers:\n" + "\n".join(found)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -890,7 +891,9 @@ def test_mixed_layouts_rejected_at_preprocess(capsys, tmp_path, layout):
 
 
 @pytest.mark.parametrize(
-    "damage", ["missing_key", "unparseable_sidecar", "corrupt_manifest", "fractional_n_samples"]
+    "damage",
+    ["missing_key", "unparseable_sidecar", "corrupt_manifest", "fractional_n_samples",
+     "string_sample_rate", "numeric_subject_id"],
 )
 def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
     path = tiny_config(tmp_path)
@@ -907,6 +910,13 @@ def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
         content = json.loads(sidecar.read_text())
         sidecar.write_text(json.dumps({**content, "n_samples": content["n_samples"] + 0.7}))
         stage, bad_file, expected = "preprocess", sidecar, "n_samples must be an integer"
+    elif damage == "string_sample_rate":
+        # float("512") would read it, but eeg.json holds numbers as JSON numbers
+        _rewrite_sidecar(sidecar.parent, sample_rate_hz="512")
+        stage, bad_file, expected = "preprocess", sidecar, "sample_rate_hz must be a number"
+    elif damage == "numeric_subject_id":
+        _rewrite_sidecar(sidecar.parent, subject_id=2)
+        stage, bad_file, expected = "preprocess", sidecar, "subject_id must be a string, got 2"
     elif damage == "unparseable_sidecar":
         sidecar.write_text(sidecar.read_text()[:-10])
         stage, bad_file, expected = "preprocess", sidecar, "is not valid JSON"
@@ -918,6 +928,113 @@ def test_unreadable_json_inputs_are_usage_errors(capsys, tmp_path, damage):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "InvalidFormat"
+    assert str(bad_file) in payload["message"]
+    assert expected in payload["message"]
+
+
+def test_repeated_subject_id_named_at_preprocess(capsys, tmp_path):
+    # window ids start with the subject id, so a second sub-001 would overwrite
+    # the first one's window files and list each id twice in the manifest
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    raw = tmp_path / "run" / "raw"
+    _rewrite_sidecar(raw / "sub-002", subject_id="sub-001")
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert payload["message"] == (
+        f"{raw / 'sub-002' / 'eeg.json'}: subject_id 'sub-001' is {raw / 'sub-001' / 'eeg.json'}'s too"
+    )
+    assert not (tmp_path / "run" / "windows" / "windows.json").exists()
+
+
+@pytest.fixture(scope="module")
+def complete_run(tmp_path_factory):
+    """A tiny workdir after synth, preprocess, augment, featurize and train."""
+    root = tmp_path_factory.mktemp("complete")
+    path = tiny_config(root)
+    for stage in ("synth", "preprocess", "augment", "featurize", "train"):
+        assert main([stage, "--config", str(path)]) == 0, stage
+    return root / "run"
+
+
+WINDOWS, FEATURES = "windows/windows.json", "features/manifest.json"
+
+
+def _first(records_key: str, change):
+    """A damage that applies change to the manifest's first record."""
+    return lambda manifest: change(manifest[records_key][0])
+
+
+# id: (manifest, damage, stage that must refuse it, error, what the message must name)
+MANIFEST_DAMAGES = {
+    "feature_record_without_file":
+        (FEATURES, _first("records", lambda r: r.pop("file")), "train", "InvalidFormat",
+         "record 0: missing key 'file'"),
+    "feature_record_split_dev":
+        (FEATURES, _first("records", lambda r: r.update(split="dev")), "train", "InvalidFormat",
+         "record 0: split must be one of ['train', 'val', 'test'], got 'dev'"),
+    "feature_record_binary_neutral":
+        (FEATURES, _first("records", lambda r: r.update(binary="neutral")), "train",
+         "InvalidFormat", "record 0: binary must be one of [None, 'negative', 'positive']"),
+    "feature_n_bins_7":
+        (FEATURES, lambda m: m.update(n_bins=7), "train", "PayloadSizeMismatch",
+         "n_channels x n_bins say 4x7"),
+    "feature_without_train_order":
+        (FEATURES, lambda m: m.pop("train_order"), "train", "InvalidFormat",
+         "missing key 'train_order'"),
+    "feature_emotion_table_list":
+        (FEATURES, lambda m: m.update(emotion_table=[1]), "train", "InvalidFormat",
+         "emotion_table must be an object, got [1]"),
+    "feature_without_n_channels":
+        (FEATURES, lambda m: m.pop("n_channels"), "eval", "InvalidFormat",
+         "missing key 'n_channels'"),
+    "window_record_without_split":
+        (WINDOWS, _first("windows", lambda r: r.pop("split")), "featurize", "InvalidFormat",
+         "window 0: missing key 'split'"),
+    "window_record_without_id":
+        (WINDOWS, _first("windows", lambda r: r.pop("id")), "featurize", "InvalidFormat",
+         "window 0: missing key 'id'"),
+    "window_record_categorical_x":
+        (WINDOWS, _first("windows", lambda r: r.update(categorical="x")), "featurize",
+         "InvalidFormat", "window 0: categorical must be one of"),
+    "window_record_id_repeated":
+        (WINDOWS, lambda m: m["windows"][1].update(id=m["windows"][0]["id"]), "featurize",
+         "InvalidFormat", "window id 'sub-001-e000' is listed twice"),
+    "window_without_split_order":
+        (WINDOWS, lambda m: m.pop("split_order"), "featurize", "InvalidFormat",
+         "missing key 'split_order'"),
+    "window_sample_rate_x":
+        (WINDOWS, lambda m: m.update(sample_rate_hz="x"), "featurize", "InvalidFormat",
+         "sample_rate_hz must be a number, got 'x'"),
+    "window_windows_5":
+        (WINDOWS, lambda m: m.update(windows=5), "augment", "InvalidFormat",
+         "windows must be a list, got 5"),
+    "window_without_window_len":
+        (WINDOWS, lambda m: m.pop("window_len"), "entropy", "InvalidFormat",
+         "missing key 'window_len'"),
+}
+
+
+@pytest.mark.parametrize(
+    "manifest, damage, stage, error, expected", MANIFEST_DAMAGES.values(), ids=MANIFEST_DAMAGES
+)
+def test_damaged_manifest_named_by_the_stage_that_reads_it(
+    capsys, tmp_path, complete_run, manifest, damage, stage, error, expected
+):
+    # each manifest is checked against its key table once, when a stage reads
+    # it, so a damaged key is a usage error naming the file, never a KeyError
+    shutil.copytree(complete_run, tmp_path / "run")
+    path = tiny_config(tmp_path)
+    bad_file = tmp_path / "run" / manifest
+    content = json.loads(bad_file.read_text())
+    damage(content)
+    bad_file.write_text(json.dumps(content))
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    payload = json.loads(err)
+    assert payload["error"] == error
     assert str(bad_file) in payload["message"]
     assert expected in payload["message"]
 
