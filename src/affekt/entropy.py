@@ -175,16 +175,24 @@ class NoiseSpec:
 def add_gaussian_noise(window, spec: NoiseSpec) -> np.ndarray:
     """Add seeded zero-mean Gaussian noise, re-drawn until |delta| <= max.
 
-    Works on any array shape; the input is never modified.
+    Works on any array shape; the input is never modified. The noise is drawn
+    as standard normals and scaled in place, and the window is added into it,
+    so neither the scaling nor the sum makes a new array. Its bits are those
+    of rng.normal(0, sigma) and x + delta: numpy's normal is 0.0 + sigma * z
+    over the same stream of z, which can differ only in the sign of a zero,
+    and adding x erases that sign unless x is -0.0 there; IEEE addition is
+    commutative.
     """
     x = np.asarray(window, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
-    delta = rng.normal(0.0, spec.sigma, size=x.shape)
+    delta = rng.standard_normal(x.shape)
+    delta *= spec.sigma
     bad = np.flatnonzero(np.abs(delta) > spec.max_magnitude)
     while bad.size:  # only those still out of range are drawn again, in flat order
-        np.put(delta, bad, rng.normal(0.0, spec.sigma, size=bad.size))
+        np.put(delta, bad, spec.sigma * rng.standard_normal(bad.size))
         bad = bad[np.abs(delta.flat[bad]) > spec.max_magnitude]
-    return x + delta
+    delta += x
+    return delta
 
 
 @dataclass

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import open_artifact
+from .dataset import _int_at_least, open_artifact
 from .errors import (EmptyBand, InvalidFormat, MissingFile, NonFiniteSample, NyquistExceeded,
                      PayloadSizeMismatch, ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
@@ -59,7 +59,7 @@ class PsdSpec:
 
     def __post_init__(self) -> None:
         seg = self.segment_len
-        if seg is not None and (isinstance(seg, bool) or not isinstance(seg, int) or seg < 2):
+        if seg is not None and not _int_at_least(seg, 2):
             raise WindowTooShort(f"segment_len must be an integer >= 2, got {seg!r}")
         if not (0.0 <= self.overlap_fraction < 1.0):
             raise WindowTooShort(f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EmotionEvent, write_events, write_json_object, write_window_file
+from .dataset import EmotionEvent, _int_at_least, write_events, write_json_object, write_window_file
 from .errors import ShapeMismatch, StaleArtifact
 
 MUSE_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
@@ -63,7 +63,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         for key in ("n_subjects", "events_per_subject", "channels"):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
+            if not _int_at_least(value, 1):
                 raise ShapeMismatch(f"{key} must be an integer >= 1, got {value!r}")
         if not self.fs_hz > 0:
             raise ShapeMismatch(f"fs_hz must be > 0, got {self.fs_hz}")
@@ -71,7 +71,7 @@ class SynthSpec:
         if unknown:
             raise ShapeMismatch(f"class_mix has unknown emotion classes {unknown}")
         counts = self.class_mix.values()
-        if any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts):
+        if not all(_int_at_least(c, 0) for c in counts):
             raise ShapeMismatch(f"class_mix counts must be integers >= 0, got {self.class_mix}")
         if sum(self.class_mix.values()) != self.events_per_subject:
             raise ShapeMismatch(

@@ -126,6 +126,21 @@ def coarse_grain_loops(x, tau: int):
     return out
 
 
+# --- truncated Gaussian noise ---
+
+
+def noise_by_whole_mask(x, spec):
+    """x + delta, delta ~ N(0, sigma) drawn by rng.normal, every round recomputing the mask
+    over the whole array and redrawing its entries, until no |delta| exceeds max_magnitude."""
+    rng = np.random.default_rng(spec.seed)
+    delta = rng.normal(0.0, spec.sigma, size=x.shape)
+    mask = np.abs(delta) > spec.max_magnitude
+    while np.any(mask):
+        delta[mask] = rng.normal(0.0, spec.sigma, size=int(mask.sum()))
+        mask = np.abs(delta) > spec.max_magnitude
+    return x + delta
+
+
 # --- spectra ---
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from affekt.config import (
     load_config,
 )
 from affekt.errors import InvalidFormat, MissingFile, NonFiniteLoss
+from oracles import noise_by_whole_mask
 
 
 def run_cli(args, capsys):
@@ -967,6 +969,17 @@ def _first(records_key: str, change):
     return lambda manifest: change(manifest[records_key][0])
 
 
+def _renumber_joy(records_key: str):
+    """A damage that moves joy's emotion id from 2 to 7, in the table and in every record."""
+    def damage(manifest):
+        assert manifest["emotion_table"]["joy"] == 2
+        manifest["emotion_table"]["joy"] = 7
+        for record in manifest[records_key]:
+            if record["categorical"] == 2:
+                record["categorical"] = 7
+    return damage
+
+
 # id: (manifest, damage, stage that must refuse it, error, what the message must name)
 MANIFEST_DAMAGES = {
     "feature_record_without_file":
@@ -987,6 +1000,9 @@ MANIFEST_DAMAGES = {
     "feature_emotion_table_list":
         (FEATURES, lambda m: m.update(emotion_table=[1]), "train", "InvalidFormat",
          "emotion_table must be an object, got [1]"),
+    "feature_joy_id_7":
+        (FEATURES, _renumber_joy("records"), "train", "InvalidFormat",
+         "emotion_table ids must be 0 to 2, got {'joy': 7, 'neutral': 1, 'sad': 0}"),
     "feature_without_n_channels":
         (FEATURES, lambda m: m.pop("n_channels"), "eval", "InvalidFormat",
          "missing key 'n_channels'"),
@@ -999,6 +1015,9 @@ MANIFEST_DAMAGES = {
     "window_record_categorical_x":
         (WINDOWS, _first("windows", lambda r: r.update(categorical="x")), "featurize",
          "InvalidFormat", "window 0: categorical must be one of"),
+    "window_joy_id_7":
+        (WINDOWS, _renumber_joy("windows"), "featurize", "InvalidFormat",
+         "emotion_table ids must be 0 to 2, got {'joy': 7, 'neutral': 1, 'sad': 0}"),
     "window_record_id_repeated":
         (WINDOWS, lambda m: m["windows"][1].update(id=m["windows"][0]["id"]), "featurize",
          "InvalidFormat", "window id 'sub-001-e000' is listed twice"),
@@ -1126,6 +1145,35 @@ def test_augment_noise_draws_differ_across_windows_and_seeds(capsys, tmp_path):
     deltas = np.stack(deltas)
     for i in range(len(deltas) - 1):
         assert np.abs(deltas[i + 1:] - deltas[i]).max(axis=1).min() > 0.1
+
+
+def test_noisy_windows_equal_the_whole_mask_oracle(complete_run):
+    # the artifact, not only the function: each noisy window file holds, byte for byte, the
+    # rng.normal oracle's noise on its clean window, seeded as augment seeds that window
+    cfg = load_config(complete_run.parent / "cfg.json")
+    manifest = json.loads((complete_run / "windows" / "windows.json").read_text())
+    windows = manifest["windows"]
+    seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(windows))
+    shape = (len(manifest["channel_names"]), manifest["window_len"])
+    for i in (0, len(windows) - 1):
+        name = windows[i]["file"]
+        clean = np.fromfile(complete_run / "windows" / name, dtype="<f4").reshape(shape)
+        spec = replace(cfg.noise, seed=int(seeds[i]))
+        expected = noise_by_whole_mask(clean.astype(np.float64), spec).astype("<f4")
+        assert (complete_run / "windows_noisy" / name).read_bytes() == expected.tobytes()
+
+
+def test_window_file_that_is_a_directory_is_named_at_augment(capsys, tmp_path):
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    window = tmp_path / "run" / "windows" / "sub-001-e000.f32"
+    window.unlink()
+    window.mkdir()
+    code, _, err = run_cli(["augment", "--config", str(path)], capsys)
+    assert code == 2, err
+    assert json.loads(err) == {"error": "InvalidFormat", "message": f"{window} is not a file"}
+    assert not (tmp_path / "run" / "windows_noisy" / "windows.json").exists()
 
 
 def test_checkpoints_identical_across_blas_thread_counts(tmp_path):

@@ -25,12 +25,16 @@ from affekt.dataset import (
     write_window_file,
 )
 from affekt.errors import (
+    AffektError,
     ClassTooSmall,
     EmptyClass,
     MalformedEvent,
     MissingFile,
+    PayloadSizeMismatch,
     ShapeMismatch,
 )
+from affekt.features import PsdSpec
+from affekt.synth import SynthSpec
 from conftest import make_events, write_subject
 from oracles import is_convex_combination
 
@@ -368,6 +372,37 @@ def test_window_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(got, data)
     with pytest.raises(ShapeMismatch):
         read_window_file(path, 4, 99)
+
+
+def test_window_file_of_part_floats_or_missing_is_named(tmp_path):
+    # a size that is not a whole number of floats is refused, never read short
+    path = tmp_path / "w.f32"
+    path.write_bytes(bytes(4 * 400 + 2))
+    with pytest.raises(PayloadSizeMismatch) as exc:
+        read_window_file(path, 4, 100)
+    assert str(exc.value) == f"{path}: 1602 bytes on disk, manifest says 4x100"
+    missing = tmp_path / "absent.f32"
+    with pytest.raises(MissingFile) as exc:
+        read_window_file(missing, 4, 100)
+    assert str(exc.value) == f"{missing} does not exist"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WindowSpec(length_samples=True),
+        lambda: SplitSpec(batch_size=True),
+        lambda: PsdSpec(segment_len=True),
+        lambda: SynthSpec(n_subjects=True),
+        lambda: SynthSpec(class_mix={"joy": True, "sad": 3, "neutral": 4}, events_per_subject=8),
+    ],
+    ids=["window_length", "split_batch_size", "psd_segment_len", "synth_subjects",
+         "synth_class_mix"],
+)
+def test_spec_integer_is_never_a_bool(build):
+    # the key tables' rule, for specs built in Python rather than read from a config
+    with pytest.raises(AffektError, match="got .*True"):
+        build()
 
 
 def test_binary_class_name_order():

@@ -20,7 +20,8 @@ from affekt.entropy import (
     template_match_counts,
 )
 from affekt.errors import ScaleTooLarge, SeriesTooShort
-from oracles import coarse_grain_loops, sampen_counts_bruteforce, sampen_counts_pure
+from oracles import (coarse_grain_loops, noise_by_whole_mask, sampen_counts_bruteforce,
+                     sampen_counts_pure)
 
 
 def test_counts_match_bruteforce_oracle():
@@ -196,27 +197,18 @@ def test_noise_deterministic_and_input_untouched():
     assert not np.array_equal(a, x)
 
 
-def _noise_by_whole_mask(x, spec):
-    # every round recomputes the mask over the whole array and redraws its entries
-    rng = np.random.default_rng(spec.seed)
-    delta = rng.normal(0.0, spec.sigma, size=x.shape)
-    mask = np.abs(delta) > spec.max_magnitude
-    while np.any(mask):
-        delta[mask] = rng.normal(0.0, spec.sigma, size=int(mask.sum()))
-        mask = np.abs(delta) > spec.max_magnitude
-    return x + delta
-
-
 @pytest.mark.parametrize("shape", [(0,), (1,), (3000,), (2, 1500), (4, 7, 9)])
 @pytest.mark.parametrize("max_magnitude", [4.0, 0.5, 1e-3])
 def test_noise_equals_whole_mask_redraws(shape, max_magnitude):
     # redrawing only the entries still out of range takes the same draws in
-    # the same order; a tiny max_magnitude forces many rounds
+    # the same order; a tiny max_magnitude forces many rounds. A float32 window
+    # gives the bits of numpy's float32 + float64 sum.
     rng = np.random.default_rng(len(shape))
-    x = rng.standard_normal(shape)
-    for seed in range(5):
-        spec = NoiseSpec(max_magnitude=max_magnitude, seed=seed)
-        assert add_gaussian_noise(x, spec).tobytes() == _noise_by_whole_mask(x, spec).tobytes()
+    window = rng.standard_normal(shape)
+    for x in (window, window.astype(np.float32)):
+        for seed in range(5):
+            spec = NoiseSpec(max_magnitude=max_magnitude, seed=seed)
+            assert add_gaussian_noise(x, spec).tobytes() == noise_by_whole_mask(x, spec).tobytes()
 
 
 def test_shift_report_deltas_are_ci_differences():
