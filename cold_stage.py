@@ -17,7 +17,9 @@ the set-up stages write, except those that STAGE writes into. Each timed run
 then starts a new interpreter, as the CLI stage does, with one BLAS thread.
 Wall time comes from perf_counter around the child; user and system time,
 minor faults and max RSS come from the child's own rusage (os.wait4, the
-figures getrusage(RUSAGE_CHILDREN) reports for one child). The trees alternate
+figures getrusage(RUSAGE_CHILDREN) reports for one child). Each run keeps the
+JSON report the stage prints as "report", so a train pair shows each side's
+epochs_run and best_val_loss beside its time. The trees alternate
 which runs first, and after every pair each regular file that both wrote
 outside the links is compared byte for byte, except reports/stream_timing.json,
 the wall-clock file named in README's Determinism section, which is recorded
@@ -75,8 +77,11 @@ def same_outputs(a: Path, b: Path) -> bool:
 
 
 def timed(cmd: list[str], env: dict) -> dict:
+    """Run cmd once; its rusage and wall time, and the JSON object it printed."""
     t0 = time.perf_counter()
-    child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE)
+    with child.stdout:  # read to the end first, so a full pipe cannot stall the child
+        out = child.stdout.read()
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - t0
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
@@ -84,7 +89,7 @@ def timed(cmd: list[str], env: dict) -> dict:
         raise SystemExit(f"{' '.join(cmd)} exited {child.returncode}")
     return {"wall_s": round(wall, 3), "user_s": round(usage.ru_utime, 3),
             "system_s": round(usage.ru_stime, 3), "minor_faults": usage.ru_minflt,
-            "max_rss_kib": usage.ru_maxrss}
+            "max_rss_kib": usage.ru_maxrss, "report": json.loads(out)}
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dataset import open_artifact
+from .dataset import open_artifact, open_input
 from .errors import InvalidFormat, ShapeMismatch
 from .nn import CnnConfig, init_params
 
@@ -72,10 +72,11 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
 def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
     """Returns (config, params as float64, meta dict).
 
-    A header that is not a valid config, and tensors whose names or shapes
-    differ from the ones that config's network has, are InvalidFormat.
+    A missing path is MissingFile. A directory, a header that is not a valid
+    config, and tensors whose names or shapes differ from the ones that
+    config's network has, are InvalidFormat.
     """
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise InvalidFormat(f"{path}: bad magic {magic!r}")

@@ -141,6 +141,17 @@ def _check_keys(path, objs: list, keys: dict, where: str = "") -> None:
             raise InvalidFormat(f"{path}: {where.format(i)}{key} must be {want}, got {value!r}")
 
 
+def open_input(path, buffering: int = -1):
+    """Open path for reading bytes; a missing path is MissingFile and a directory
+    InvalidFormat, each naming the path. The binary readers open their inputs here."""
+    try:
+        return open(path, "rb", buffering=buffering)
+    except FileNotFoundError:
+        raise MissingFile(f"{path} does not exist") from None
+    except IsADirectoryError:
+        raise InvalidFormat(f"{path} is not a file") from None
+
+
 @contextmanager
 def open_artifact(path, mode: str = "wb", **kwargs):
     """Open path for writing ("w" or "wb", with open's keyword arguments) without
@@ -465,13 +476,7 @@ def _read_f32(path, n_channels: int, n_samples: int, shape_from: str) -> np.ndar
     # readinto an array of that size, so the floats are the file's bytes, all of them
     # read. A stat, then numpy's file reader, took 39 ms per 1,024 reads of 12 KB window
     # files (12 ms of it system time), against 16 ms this way.
-    try:
-        fh = open(path, "rb", buffering=0)
-    except FileNotFoundError:
-        raise MissingFile(f"{path} does not exist") from None
-    except IsADirectoryError:
-        raise InvalidFormat(f"{path} is not a file") from None
-    with fh:
+    with open_input(path, buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         if size % 4 or size // 4 != n_channels * n_samples:
             on_disk = f"{size} bytes" if size % 4 else f"{size // 4} floats"

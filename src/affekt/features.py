@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import _int_at_least, open_artifact
-from .errors import (EmptyBand, InvalidFormat, MissingFile, NonFiniteSample, NyquistExceeded,
+from .dataset import _int_at_least, open_artifact, open_input
+from .errors import (EmptyBand, InvalidFormat, NonFiniteSample, NyquistExceeded,
                      PayloadSizeMismatch, ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
 
@@ -196,13 +196,10 @@ def write_feature_file(path, values: np.ndarray, label_id: int) -> None:
 
 
 def read_feature_file(path, shape=None, shape_from="the manifest") -> tuple[np.ndarray, int]:
-    """(values as float64, label id); a missing file, bad header, size or a non-finite value,
-    or dims other than shape_from's (n_channels, n_bins) shape, is a usage error naming it."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingFile(f"{path} does not exist") from None
-    with fh:
+    """(values as float64, label id); a missing file, a directory, a bad header, size or a
+    non-finite value, or dims other than shape_from's (n_channels, n_bins) shape, is a usage
+    error naming it."""
+    with open_input(path) as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
             raise InvalidFormat(f"{path}: bad magic {magic!r}")

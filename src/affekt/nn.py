@@ -7,8 +7,15 @@ input. A global average pool feeds a dense layer and softmax. Residual blocks
 require stride 1 and matching widths, so a zero-initialized residual block is
 exactly the identity.
 
-Everything is float64 numpy. backward() returns analytic gradients of the
-batch-mean cross-entropy; tests hold them to central finite differences.
+Parameters, the pooled/dense head, softmax and the loss are float64 numpy.
+The conv stack runs in its Workspace's dtype: float64 by default, so forward(),
+backward(), training.evaluate without a workspace and stream_classify are
+float64 throughout, and backward() returns analytic gradients of the
+batch-mean cross-entropy that tests hold to central finite differences.
+training.train makes its workspace float32, as in mixed-precision training
+(Micikevicius et al., 2018): the images, the im2col / GEMM / col2im work and
+the conv weights (cast per call) are float32, while the master parameters,
+Adam and the head stay float64, and every gradient is returned as float64.
 
 Inside the network activations are channel-major, (C, B, H, W), so every
 convolution contraction is one 2-D GEMM on the (C*9, B*Ho*Wo) im2col patch
@@ -53,6 +60,9 @@ PROB_FLOOR = 1e-12
 # at batch 20 (cnn-small, 128 x 128, one BLAS thread, median CPU ms of 15
 # calls) took 24.5 / 22.9 / 22.3 / 23.5 / 31.5 / 45.6 ms for micro-batches of
 # 1 / 2 / 3 / 4 / 6 / 10 samples, and 42.5 ms unsplit; 3 samples fit 2 MiB.
+# Workspace counts 8 bytes per entry whatever its dtype, on purpose: a float32
+# workspace keeps the 3-sample micro-batch, and the 6 samples that 4-byte
+# entries would allow made float32 training slower again.
 _MICRO_BATCH_BYTES = 2 << 20
 
 
@@ -130,9 +140,9 @@ def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
     return float(-(onehot * logp).sum(axis=1).mean())
 
 
-def _as_images(cfg: CnnConfig, x: np.ndarray) -> np.ndarray:
+def _as_images(cfg: CnnConfig, x: np.ndarray, dtype) -> np.ndarray:
     """(batch, channels, bins) input -> a one-channel (1, B, H, W) image stack."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 3 or x.shape[1] != cfg.input_channels or x.shape[2] != cfg.input_bins:
         raise ShapeMismatch(
             f"expected (batch, {cfg.input_channels}, {cfg.input_bins}), got {x.shape}"
@@ -158,7 +168,10 @@ class _Conv:
     buffers of its own.
     """
 
-    def __init__(self, block: BlockSpec, c: int, h: int, w: int, samples: int, first: bool):
+    def __init__(
+        self, block: BlockSpec, c: int, h: int, w: int, samples: int, first: bool,
+        dtype=np.float64,
+    ):
         s = block.stride
         self.in_shape = (c, h, w)
         self.ho, self.wo = (h - 1) // s + 1, (w - 1) // s + 1
@@ -173,11 +186,11 @@ class _Conv:
         n_cols = samples * self.ho * self.wo
         # zeroed once: im2col writes only the in-image rectangles, so the
         # padding taps stay 0
-        self.cols = np.zeros((c, 3, 3, samples, self.ho, self.wo))
-        self.out = np.empty((block.out_width, n_cols))
-        self.skip = (np.empty((block.out_width, samples, self.ho, self.wo))
+        self.cols = np.zeros((c, 3, 3, samples, self.ho, self.wo), dtype)
+        self.out = np.empty((block.out_width, n_cols), dtype)
+        self.skip = (np.empty((block.out_width, samples, self.ho, self.wo), dtype)
                      if block.residual else None)
-        self.dcols = None if first else np.empty((c * 9, n_cols))
+        self.dcols = None if first else np.empty((c * 9, n_cols), dtype)
         self.col2im_scatter: dict = {}
 
     def im2col(self, a: np.ndarray) -> np.ndarray:
@@ -207,7 +220,8 @@ class _Conv:
                 index[dst] = image[src]
             taps = np.flatnonzero(index.ravel() >= 0).astype(np.int32)
             scatter = self.col2im_scatter[b] = sparse.csr_array(
-                (np.ones(taps.size), (index.ravel()[taps], taps)), shape=(image.size, index.size)
+                (np.ones(taps.size, dcols.dtype), (index.ravel()[taps], taps)),
+                shape=(image.size, index.size),
             )
         return (scatter @ dcols.ravel()).reshape(c, b, h, w)
 
@@ -221,15 +235,19 @@ class Workspace:
     and stay for the workspace's life. Arrays that forward() and backward()
     return never point into them. One call at a time: two threads must not
     share a workspace.
+
+    dtype is that of the conv stack's buffers, input images and weight copies;
+    the head, the loss and the returned gradients are float64 either way.
     """
 
-    def __init__(self, cfg: CnnConfig) -> None:
+    def __init__(self, cfg: CnnConfig, dtype=np.float64) -> None:
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
         h, w, width, largest = cfg.input_channels, cfg.input_bins, 1, 1
         for block in cfg.blocks:
             h = (h - 1) // block.stride + 1
             w = (w - 1) // block.stride + 1
-            largest = max(largest, width * 9 * h * w * 8)  # float64 bytes
+            largest = max(largest, width * 9 * h * w * 8)  # 8 bytes whatever the dtype
             width = block.out_width
         self.micro_batch = max(1, _MICRO_BATCH_BYTES // largest)
         self._samples = 0
@@ -249,7 +267,7 @@ class Workspace:
             self._convs = []
             c, h, w = 1, self.cfg.input_channels, self.cfg.input_bins
             for idx, block in enumerate(self.cfg.blocks):
-                conv = _Conv(block, c, h, w, b, idx == 0)
+                conv = _Conv(block, c, h, w, b, idx == 0, self.dtype)
                 self._convs.append(conv)
                 c, h, w = block.out_width, conv.ho, conv.wo
             self._samples = b
@@ -265,19 +283,19 @@ def _workspace(cfg: CnnConfig, workspace: Workspace | None) -> Workspace:
 
 
 def _forward_images(params: dict, cfg: CnnConfig, a: np.ndarray, ws: Workspace):
-    """Probabilities of a (1, b, H, W) micro-batch, and what backprop needs."""
+    """Probabilities of a (1, b, H, W) micro-batch in ws.dtype, and what backprop needs."""
     b = a.shape[1]
     cache = []
     for idx, (block, conv) in enumerate(zip(cfg.blocks, ws.convs(b))):
         cols = conv.im2col(a)
-        wmat = params[f"conv{idx}.w"].reshape(block.out_width, -1)
+        wmat = params[f"conv{idx}.w"].reshape(block.out_width, -1).astype(ws.dtype, copy=False)
         pre = np.matmul(wmat, cols, out=conv.out[:, :cols.shape[1]])
         act = pre.reshape(block.out_width, b, conv.ho, conv.wo)
-        act += params[f"conv{idx}.b"][:, None, None, None]
+        act += params[f"conv{idx}.b"].astype(ws.dtype, copy=False)[:, None, None, None]
         np.maximum(act, 0.0, out=act)
-        cache.append((conv, cols, act))
+        cache.append((conv, cols, act, wmat))
         a = np.add(act, a, out=conv.skip[:, :b]) if block.residual else act
-    pooled = a.mean(axis=(2, 3)).T
+    pooled = a.mean(axis=(2, 3), dtype=np.float64).T
     logits = pooled @ params["dense.w"] + params["dense.b"]
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
@@ -289,8 +307,8 @@ def forward(
     params: dict, cfg: CnnConfig, x: np.ndarray, workspace: Workspace | None = None
 ) -> np.ndarray:
     """Class probabilities, one row per sample."""
-    a = _as_images(cfg, x)
     ws = _workspace(cfg, workspace)
+    a = _as_images(cfg, x, ws.dtype)
     return np.concatenate(
         [_forward_images(params, cfg, a[:, part], ws)[0] for part in ws.micro_batches(a.shape[1])]
     )
@@ -309,23 +327,22 @@ def _backprop(
     dpooled = dlogits @ params["dense.w"].T
     # the pool gives every pixel of a channel the same gradient, so keep it
     # (C, b, 1, 1) and let the ReLU mask broadcast it
-    da = dpooled.T[:, :, None, None] / (last.shape[2] * last.shape[3])
+    da = (dpooled.T / math.prod(last.shape[2:])).astype(ws.dtype, copy=False)[:, :, None, None]
 
     for idx in range(len(cfg.blocks) - 1, -1, -1):
         block = cfg.blocks[idx]
-        conv, cols, act = cache[idx]
-        w = params[f"conv{idx}.w"]
+        conv, cols, act, wmat = cache[idx]
         # the ReLU mask turns the activation's buffer into dpre; da stays
         # whole for a residual block's skip path
         np.greater(act, 0.0, out=act)
         dpre_mat = np.multiply(da, act, out=act).reshape(block.out_width, -1)
-        grads[f"conv{idx}.w"] = (dpre_mat @ cols.T).reshape(w.shape)
-        grads[f"conv{idx}.b"] = dpre_mat.sum(axis=1)
+        # this micro-batch's share, cast to float64 before backward() sums the shares
+        grads[f"conv{idx}.w"] = (dpre_mat @ cols.T).reshape(
+            params[f"conv{idx}.w"].shape).astype(np.float64, copy=False)
+        grads[f"conv{idx}.b"] = dpre_mat.sum(axis=1).astype(np.float64, copy=False)
         if idx == 0:
             break  # the input image takes no gradient
-        dcols = np.matmul(
-            w.reshape(block.out_width, -1).T, dpre_mat, out=conv.dcols[:, :cols.shape[1]]
-        )
+        dcols = np.matmul(wmat.T, dpre_mat, out=conv.dcols[:, :cols.shape[1]])
         dx = conv.col2im(dcols, a.shape[1])
         if block.residual:
             dx += da
@@ -341,11 +358,11 @@ def backward(
     workspace: Workspace | None = None,
 ):
     """Loss and exact gradients of batch-mean cross-entropy for every tensor."""
-    a = _as_images(cfg, x)
+    ws = _workspace(cfg, workspace)
+    a = _as_images(cfg, x, ws.dtype)
     n = a.shape[1]
     if onehot.shape != (n, cfg.n_classes):
         raise ShapeMismatch(f"targets {onehot.shape}, expected {(n, cfg.n_classes)}")
-    ws = _workspace(cfg, workspace)
     probs = []
     grads: dict[str, np.ndarray] = {}
     for part in ws.micro_batches(n):

@@ -140,13 +140,15 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
 
     train_batches and val_batches are lists of (x, onehot) pairs. Batch
     composition is fixed; only the visit order is reshuffled each epoch. One
-    workspace serves every backward and validation forward pass of the run.
+    float32 workspace serves every backward and validation forward pass of the
+    run, so early stopping compares validation losses computed through it; the
+    parameters and Adam's moments stay float64.
     """
     if not train_batches:
         raise EmptyEvaluationSet("no training batches")
     params = init_params(cfg)
     state = adam_init(params)
-    workspace = Workspace(cfg)
+    workspace = Workspace(cfg, np.float32)
     rng = np.random.default_rng(tcfg.seed)
     best_loss = np.inf
     best_params = {k: p.copy() for k, p in params.items()}

@@ -1176,6 +1176,25 @@ def test_window_file_that_is_a_directory_is_named_at_augment(capsys, tmp_path):
     assert not (tmp_path / "run" / "windows_noisy" / "windows.json").exists()
 
 
+@pytest.mark.parametrize(
+    "stage, earlier, rel",
+    [("train", ("featurize",), "features/smote-bin-0000.eegf"),
+     ("eval", ("featurize", "train"), "model/task1_binary.ckpt")],
+    ids=["feature_file_at_train", "checkpoint_at_eval"],
+)
+def test_binary_input_that_is_a_directory_is_named(capsys, tmp_path, stage, earlier, rel):
+    # a feature file or a checkpoint opens through the same reader as a window file
+    path = tiny_config(tmp_path)
+    for name in ("synth", "preprocess", *earlier):
+        assert run_cli([name, "--config", str(path)], capsys)[0] == 0
+    target = tmp_path / "run" / rel
+    target.unlink()
+    target.mkdir()
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    assert json.loads(err) == {"error": "InvalidFormat", "message": f"{target} is not a file"}
+
+
 def test_checkpoints_identical_across_blas_thread_counts(tmp_path):
     path = tiny_config(tmp_path)
     src = str(Path(affekt.__file__).resolve().parent.parent)

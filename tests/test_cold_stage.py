@@ -1,6 +1,8 @@
 """cold_stage.py derives its set-up stages and linked directories from pipeline.STAGES."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,13 @@ def test_same_outputs_differ_by_a_file_in_one_tree_only(tmp_path):
     b = _tree(tmp_path / "b", {**_OUTPUTS, "reports/extra.json": "{}"})
     assert not cold_stage.same_outputs(a, b)
     assert not cold_stage.same_outputs(b, a)
+
+
+def test_timed_keeps_the_report_the_child_prints():
+    # a train pair shows each side's epochs_run, so a run that stops earlier is seen as such
+    report = {"task1": {"epochs_run": 100, "best_val_loss": 0.004}}
+    cmd = [sys.executable, "-c", f"import json; print(json.dumps({report!r}, indent=2))"]
+    run = cold_stage.timed(cmd, dict(os.environ))
+    assert run["report"] == report
+    assert run["wall_s"] > 0
+    assert {"user_s", "system_s", "minor_faults", "max_rss_kib"} <= set(run)

@@ -428,3 +428,49 @@ def test_workspace_belongs_to_one_network():
     other = small_config([(8, 2, False)])
     with pytest.raises(ShapeMismatch, match="workspace"):
         forward(init_params(cfg), cfg, np.zeros((1, 4, 8)), Workspace(other))
+
+
+@pytest.mark.parametrize("preset", ["cnn-small", "cnn-small-residual"])
+def test_float32_workspace_stays_close_to_float64(preset):
+    # training's workspace on an e2e-shaped batch. The inputs are float32 values,
+    # as feature files hold: rounding them as well would move a few ReLU inputs
+    # across 0 and change the gradient by a kink, not by precision.
+    blocks = [(b["out_width"], b["stride"], b["residual"]) for b in MODEL_PRESETS[preset]]
+    cfg = small_config(blocks, channels=128, bins=128)
+    params = init_params(cfg)
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((20, 128, 128)).astype(np.float32).astype(np.float64)
+    ys = np.eye(3)[rng.integers(0, 3, size=20)]
+    loss, grads = backward(params, cfg, xs, ys, Workspace(cfg))
+    loss32, grads32 = backward(params, cfg, xs, ys, Workspace(cfg, np.float32))
+    assert abs(loss32 - loss) <= 1e-6 * abs(loss)
+    assert sorted(grads32) == sorted(grads)
+    for name, g in grads.items():
+        assert np.abs(grads32[name] - g).max() <= 1e-5 * np.abs(g).max(), name
+
+
+def test_workspace_dtype_applies_inside_it_only(monkeypatch):
+    # a call without a workspace makes a float64 one; the probabilities, the loss
+    # and the gradients are float64 under either dtype
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    blocks = [(4, 2, False), (4, 1, True)]
+    cfg = small_config(blocks)
+    params = _biased_params(cfg, blocks)
+    assert Workspace(cfg).dtype == np.float64
+    assert Workspace(cfg, np.float32).dtype == np.float32
+    monkeypatch.setattr(nn, "Workspace", Recorded)
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((5, 4, 8))
+    ys = np.eye(3)[rng.integers(0, 3, size=5)]
+    for ws in (None, Workspace(cfg), Workspace(cfg, np.float32)):
+        assert forward(params, cfg, xs, ws).dtype == np.float64
+        loss, grads = backward(params, cfg, xs, ys, ws)
+        assert isinstance(loss, float)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+    assert [ws.dtype for ws in made] == [np.float64, np.float64]

@@ -187,6 +187,21 @@ def test_stream_reuses_one_workspace(monkeypatch):
     assert all(ws is seen[0] for ws in seen)
 
 
+def test_stream_forward_runs_in_float64(monkeypatch):
+    # the stream serves the float64 network that eval and the checks score
+    seen = []
+    inner = stream.forward
+
+    def spy(params, cfg, x, workspace=None):
+        seen.append(workspace)
+        return inner(params, cfg, x, workspace)
+
+    monkeypatch.setattr(stream, "forward", spy)
+    cfg, params = varied_model(4)
+    run(make_recording(1500 + 375), cfg, params, window_len=1500, hop_samples=375)
+    assert [ws.dtype for ws in seen] == [np.float64, np.float64]
+
+
 def test_welch_setup_is_built_before_the_first_window_is_timed(monkeypatch):
     # the first window's proc_ms must not include building the Welch window and grid
     from affekt import features

@@ -9,7 +9,8 @@ import pytest
 
 from affekt import training
 from affekt.checkpoint import load_checkpoint, save_checkpoint
-from affekt.errors import EmptyEvaluationSet, InvalidFormat, NonFiniteLoss, ShapeMismatch
+from affekt.errors import (EmptyEvaluationSet, InvalidFormat, MissingFile, NonFiniteLoss,
+                           ShapeMismatch)
 from affekt.nn import BlockSpec, CnnConfig, Workspace, forward, init_params
 from affekt.training import (
     AdamState,
@@ -219,6 +220,16 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         load_checkpoint(cut)
 
 
+def test_checkpoint_path_missing_or_a_directory_is_named(tmp_path):
+    missing = tmp_path / "none.ckpt"
+    with pytest.raises(MissingFile, match=f"^{missing} does not exist$"):
+        load_checkpoint(missing)
+    folder = tmp_path / "folder.ckpt"
+    folder.mkdir()
+    with pytest.raises(InvalidFormat, match=f"^{folder} is not a file$"):
+        load_checkpoint(folder)
+
+
 def _raw_checkpoint(cfg, params):
     """Checkpoint bytes for any params, laid out as the module docstring says, unchecked."""
     blob = json.dumps(asdict(cfg), sort_keys=True).encode()
@@ -315,6 +326,24 @@ def test_train_reuses_one_workspace(monkeypatch):
     assert len(seen) == 2 * (len(train_batches) + len(val_batches))
     assert isinstance(seen[0], Workspace)
     assert all(ws is seen[0] for ws in seen)
+    assert seen[0].dtype == np.float32
+
+
+def test_evaluate_without_a_workspace_makes_a_float64_one(monkeypatch):
+    # eval's loss and accuracy come from the float64 network, as the checks expect
+    seen = []
+    inner = training.forward
+
+    def spy(params, cfg, x, workspace=None):
+        seen.append(workspace)
+        return inner(params, cfg, x, workspace)
+
+    monkeypatch.setattr(training, "forward", spy)
+    cfg, _, val_batches = toy_task(seed=6)
+    evaluate(init_params(cfg), cfg, val_batches)
+    assert len(seen) == len(val_batches)
+    assert all(ws is seen[0] for ws in seen)
+    assert seen[0].dtype == np.float64
 
 
 def test_train_config_validation():
