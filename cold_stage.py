@@ -23,7 +23,9 @@ epochs_run and best_val_loss beside its time. The trees alternate
 which runs first, and after every pair each regular file that both wrote
 outside the links is compared byte for byte, except reports/stream_timing.json,
 the wall-clock file named in README's Determinism section, which is recorded
-per run instead (first, median and mean window times). Prints one JSON object.
+per run instead (first, median and mean window times); each pair lists the
+paths that differ, empty when the two trees wrote the same bytes. Prints one
+JSON object.
 """
 
 from __future__ import annotations
@@ -67,13 +69,15 @@ def written(out: Path) -> list[Path]:
     return sorted(Path(d, f).relative_to(out) for d, _, files in os.walk(out) for f in files)
 
 
-def same_outputs(a: Path, b: Path) -> bool:
-    """True if a and b hold the same files, identical but for the stream's timing."""
-    def same(name: Path) -> bool:
-        return name == TIMING or filecmp.cmp(a / name, b / name, shallow=False)
-
-    names = written(a)
-    return names == written(b) and all(map(same, names))
+def differing_outputs(a: Path, b: Path) -> list[str]:
+    """The sorted relative paths of the files that a and b do not hold alike: those in
+    one only, and those whose bytes differ, except the stream's timing."""
+    names_a, names_b = set(written(a)), set(written(b))
+    differ = (names_a ^ names_b) | {
+        name for name in names_a & names_b
+        if name != TIMING and not filecmp.cmp(a / name, b / name, shallow=False)
+    }
+    return sorted(map(str, differ))
 
 
 def timed(cmd: list[str], env: dict) -> dict:
@@ -120,7 +124,7 @@ def main() -> None:
             cmd, env = cli(trees["change"], name, config, cohort)
             subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
             stamp.touch()
-    commands, runs, identical, outs = {}, {name: [] for name in trees}, [], {}
+    commands, runs, differing, outs = {}, {name: [] for name in trees}, [], {}
     for name in trees:
         outs[name] = out = work / f"{args.stage}-{args.preset}-{name}"
         out.mkdir(exist_ok=True)
@@ -134,7 +138,7 @@ def main() -> None:
             runs[name].append(timed(*commands[name]))
             if str(TIMING) in STAGES[args.stage].writes:
                 runs[name][-1]["timing"] = json.loads((outs[name] / TIMING).read_text())
-        identical.append(same_outputs(outs["parent"], outs["change"]))
+        differing.append(differing_outputs(outs["parent"], outs["change"]))
     print(json.dumps({
         "stage": args.stage,
         "preset": args.preset,
@@ -142,7 +146,7 @@ def main() -> None:
                             "env": {k: env[k] for k in ("PYTHONPATH", "OPENBLAS_NUM_THREADS")}}
                      for name, (cmd, env) in commands.items()},
         "runs": runs,
-        "artifacts_identical_per_pair": identical,
+        "files_that_differ_per_pair": differing,
     }, indent=1))
 
 

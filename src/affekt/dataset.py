@@ -21,6 +21,7 @@ which writes over an existing file in place instead of truncating it first.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -87,21 +88,13 @@ class LabeledWindow:
     rating: float
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingFile(f"{path} does not exist")
-    return path
-
-
 def read_json_object(path: Path) -> dict:
-    """Parse a file holding one JSON object; InvalidFormat names the file if it does not."""
-    if not _require(path).is_file():
-        raise InvalidFormat(f"{path} is not a file")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InvalidFormat(f"{path} is not valid JSON: {exc}") from exc
+    """Parse a UTF-8 file holding one JSON object; InvalidFormat names the file if it does not."""
+    with open_input(path) as fh:
+        try:
+            obj = json.loads(fh.read().decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidFormat(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidFormat(f"{path} must hold a JSON object")
     return obj
@@ -176,9 +169,9 @@ def write_json_object(path: Path, obj: dict) -> None:
 def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     """Read one subject directory into a Recording plus its event list."""
     subject_dir = Path(subject_dir)
-    sidecar_path = _require(subject_dir / "eeg.json")
+    sidecar_path = subject_dir / "eeg.json"
     data_path = subject_dir / "eeg.f32"
-    events_path = _require(subject_dir / "events.tsv")
+    events_path = subject_dir / "events.tsv"
 
     sidecar = read_json_object(sidecar_path)
     _check_keys(sidecar_path, [sidecar], _SIDECAR_KEYS)
@@ -187,7 +180,8 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
         raise InvalidFormat(f"{sidecar_path}: n_samples must be an integer >= 0, got {n_samples!r}")
     if not 0 < rate < math.inf:
         raise InvalidFormat(f"{sidecar_path}: sample_rate_hz must be finite and > 0, got {rate!r}")
-    raw = _read_f32(data_path, len(names), n_samples, "sidecar")
+    with open_input(data_path, buffering=0) as fh:
+        raw = read_f32_payload(fh, data_path, (len(names), n_samples), "sidecar")
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         channel, sample = divmod(int(bad[0]), n_samples)
@@ -199,7 +193,7 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
 
 def _load_events(events_path: Path) -> list[EmotionEvent]:
     events = []
-    with open(events_path, encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(open_input(events_path), encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         header = reader.fieldnames or []
         missing = [c for c in EVENT_COLUMNS if c not in header]
@@ -471,25 +465,28 @@ def write_window_file(path, data: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(data, dtype="<f4"))
 
 
-def _read_f32(path, n_channels: int, n_samples: int, shape_from: str) -> np.ndarray:
-    # The only reader of .f32 files: one unbuffered open, an fstat for the size and one
-    # readinto an array of that size, so the floats are the file's bytes, all of them
-    # read. A stat, then numpy's file reader, took 39 ms per 1,024 reads of 12 KB window
-    # files (12 ms of it system time), against 16 ms this way.
-    with open_input(path, buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size % 4 or size // 4 != n_channels * n_samples:
-            on_disk = f"{size} bytes" if size % 4 else f"{size // 4} floats"
-            raise PayloadSizeMismatch(f"{path}: {on_disk} on disk, "
-                                      f"{shape_from} says {n_channels}x{n_samples}")
-        raw = np.empty(size // 4, "<f4")
-        if (got := fh.readinto(raw)) != size:  # the file shrank after fstat
-            raise PayloadSizeMismatch(f"{path}: read {got} of the {size} bytes fstat gave")
-    return raw.reshape(n_channels, n_samples)
+def read_f32_payload(fh, path, shape: tuple[int, int], shape_from: str) -> np.ndarray:
+    """The rest of unbuffered file fh as a shape array of little-endian float32; unless
+    its fstat size fits the shape that shape_from gives, PayloadSizeMismatch names path.
+
+    The reader of .f32 files and of feature payloads: an fstat for the size, then one
+    readinto an array of that size, so the floats are the file's bytes, all of them read.
+    A stat, then numpy's file reader, took 39 ms per 1,024 reads of 12 KB window files
+    (12 ms of it system time), against 16 ms this way."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size % 4 or size // 4 != shape[0] * shape[1]:
+        on_disk = f"{size} bytes" if size % 4 else f"{size // 4} floats"
+        raise PayloadSizeMismatch(f"{path}: {on_disk} on disk, "
+                                  f"{shape_from} says {shape[0]}x{shape[1]}")
+    raw = np.empty(shape, "<f4")
+    if (got := fh.readinto(raw)) != size:  # the file shrank after fstat
+        raise PayloadSizeMismatch(f"{path}: read {got} of the {size} bytes fstat gave")
+    return raw
 
 
 def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
-    return _read_f32(path, n_channels, window_len, "manifest").astype(np.float64)
+    with open_input(path, buffering=0) as fh:
+        return read_f32_payload(fh, path, (n_channels, window_len), "manifest").astype(np.float64)
 
 
 # --- the manifests that preprocess and featurize write for later stages ---

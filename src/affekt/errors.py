@@ -78,7 +78,7 @@ class ShapeMismatch(AffektError):
 
 
 class PayloadSizeMismatch(ShapeMismatch, UsageError):
-    """A float32 payload file on disk is not the size its sidecar or manifest declares."""
+    """A float32 payload on disk is not the size its sidecar, manifest or header declares."""
 
 
 class MalformedEvent(UsageError):

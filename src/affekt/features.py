@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import _int_at_least, open_artifact, open_input
+from .dataset import _int_at_least, open_artifact, open_input, read_f32_payload
 from .errors import (EmptyBand, InvalidFormat, NonFiniteSample, NyquistExceeded,
                      PayloadSizeMismatch, ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
@@ -199,29 +199,21 @@ def read_feature_file(path, shape=None, shape_from="the manifest") -> tuple[np.n
     """(values as float64, label id); a missing file, a directory, a bad header, size or a
     non-finite value, or dims other than shape_from's (n_channels, n_bins) shape, is a usage
     error naming it."""
-    with open_input(path) as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise InvalidFormat(f"{path}: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
+    with open_input(path, buffering=0) as fh:
+        header = fh.read(20)
+        if header[:4] != FEATURE_MAGIC:
+            raise InvalidFormat(f"{path}: bad magic {header[:4]!r}")
+        if len(header) != 20:
             raise InvalidFormat(f"{path}: truncated header")
-        version, n_channels, n_bins, label_id = struct.unpack("<IIII", header)
+        version, n_channels, n_bins, label_id = struct.unpack("<IIII", header[4:])
         if version != FEATURE_VERSION:
             raise InvalidFormat(f"{path}: unsupported version {version}")
         if shape is not None and (n_channels, n_bins) != tuple(shape):
             raise PayloadSizeMismatch(f"{path}: header says {n_channels}x{n_bins}, {shape_from}'s "
                                       f"n_channels x n_bins say {shape[0]}x{shape[1]}")
-        raw = fh.read()
-    if len(raw) % 4:
-        raise InvalidFormat(f"{path}: payload truncated mid-float")
-    payload = np.frombuffer(raw, dtype="<f4")
-    if payload.size != n_channels * n_bins:
-        raise PayloadSizeMismatch(
-            f"{path}: payload has {payload.size} floats, header says {n_channels}x{n_bins}"
-        )
+        payload = read_f32_payload(fh, path, (n_channels, n_bins), "its header")
     bad = np.flatnonzero(~np.isfinite(payload))
     if bad.size:
         channel, bin_idx = divmod(int(bad[0]), n_bins)
-        raise NonFiniteSample(f"{path}: channel {channel} bin {bin_idx} is {payload[bad[0]]}")
-    return payload.reshape(n_channels, n_bins).astype(np.float64), label_id
+        raise NonFiniteSample(f"{path}: channel {channel} bin {bin_idx} is {payload.flat[bad[0]]}")
+    return payload.astype(np.float64), label_id

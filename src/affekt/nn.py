@@ -32,11 +32,12 @@ matrix, close to the 2 MiB per-core L2 of the Xeon the budget was measured on.
 
 The buffers live in a Workspace, one set per conv block: the patch matrix,
 the conv output (which the ReLU mask later turns into dpre), the residual
-sum, the patch-matrix gradient and col2im's scatter matrix. training.train
-makes one per run and stream_classify one per run; a call without one makes
-its own. Reused buffers keep glibc's malloc from giving each micro-batch's
-memory back to the system and faulting it in again, which cost a fresh CLI
-train process ~12.5 M minor faults and ~20 s of system time. The bits are
+sum and the patch-matrix gradient (col2im's scatter matrix depends only on
+geometry and dtype, and is built once per process). training.train makes
+one per run and stream_classify one per run; a call without one makes its
+own. Reused buffers keep glibc's malloc from giving each micro-batch's memory
+back to the system and faulting it in again, which cost a fresh CLI train
+process ~12.5 M minor faults and ~20 s of system time. The bits are
 those of a padded-copy im2col and a nine-tap += col2im: each tap copies its
 in-image rectangle and the padding entries stay the zeros they were made
 with, the GEMMs write through column slices of the same shapes, and col2im's
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,7 +174,7 @@ class _Conv:
         self, block: BlockSpec, c: int, h: int, w: int, samples: int, first: bool,
         dtype=np.float64,
     ):
-        s = block.stride
+        s = self.stride = block.stride
         self.in_shape = (c, h, w)
         self.ho, self.wo = (h - 1) // s + 1, (w - 1) // s + 1
         # (patch-matrix index, input index) of each tap's in-image rectangle;
@@ -191,7 +193,6 @@ class _Conv:
         self.skip = (np.empty((block.out_width, samples, self.ho, self.wo), dtype)
                      if block.residual else None)
         self.dcols = None if first else np.empty((c * 9, n_cols), dtype)
-        self.col2im_scatter: dict = {}
 
     def im2col(self, a: np.ndarray) -> np.ndarray:
         """(C, b, H, W) -> the (C*9, b*Ho*Wo) patch matrix of a 3x3, pad-1 conv."""
@@ -202,28 +203,30 @@ class _Conv:
         return cols.reshape(c * 9, -1)
 
     def col2im(self, dcols: np.ndarray, b: int) -> np.ndarray:
-        """Sum the patch-matrix gradient back onto a (C, b, H, W) input.
-
-        One product with a 0/1 CSR scatter matrix: a row per input pixel, a
-        column per entry of dcols in its flat order, and no entry for a tap
-        on the padding. scipy sums each row from 0.0 in column order, so each
-        pixel adds its taps in (u, v) order, as a loop of nine shifted += would.
-        """
+        """Sum the patch-matrix gradient back onto a (C, b, H, W) input (see _col2im_scatter)."""
         c, h, w = self.in_shape
-        scatter = self.col2im_scatter.get(b)
-        if scatter is None:
-            from scipy import sparse  # here, so a process that only runs forward never loads it
-            # int32 indices: the product ran a fifth faster than with int64
-            index = np.full((c, 3, 3, b, self.ho, self.wo), -1, dtype=np.int32)
-            image = np.arange(c * b * h * w, dtype=np.int32).reshape(c, b, h, w)
-            for dst, src in self.taps:
-                index[dst] = image[src]
-            taps = np.flatnonzero(index.ravel() >= 0).astype(np.int32)
-            scatter = self.col2im_scatter[b] = sparse.csr_array(
-                (np.ones(taps.size, dcols.dtype), (index.ravel()[taps], taps)),
-                shape=(image.size, index.size),
-            )
+        scatter = _col2im_scatter(c, h, w, self.stride, b, dcols.dtype)
         return (scatter @ dcols.ravel()).reshape(c, b, h, w)
+
+
+@lru_cache(maxsize=32)
+def _col2im_scatter(c: int, h: int, w: int, stride: int, b: int, dtype: np.dtype):
+    """col2im's 0/1 CSR scatter matrix for b samples of a (c, h, w) input at stride: a
+    row per input pixel, a column per entry of the patch-matrix gradient in its flat
+    order, no entry for a tap on the padding. scipy sums each row from 0.0 in column
+    order, so each pixel adds its taps in (u, v) order, as nine shifted += would. It
+    depends on nothing else, so each process builds it once; it is read-only."""
+    from scipy import sparse  # here, so a process that only runs forward never loads it
+    # each patch-matrix entry's input pixel, numbered from 1 so that a padding tap reads 0;
+    # int32 indices: the product ran a fifth faster than with int64
+    pixels = np.arange(1, c * b * h * w + 1, dtype=np.int32).reshape(c, b, h, w)
+    index = _Conv(BlockSpec(1, stride), c, h, w, b, True, np.int32).im2col(pixels).ravel()
+    taps = np.flatnonzero(index).astype(np.int32)
+    scatter = sparse.csr_array((np.ones(taps.size, dtype), (index[taps] - 1, taps)),
+                               shape=(pixels.size, index.size))
+    for part in (scatter.data, scatter.indices, scatter.indptr):
+        part.flags.writeable = False
+    return scatter
 
 
 class Workspace:
@@ -238,6 +241,7 @@ class Workspace:
 
     dtype is that of the conv stack's buffers, input images and weight copies;
     the head, the loss and the returned gradients are float64 either way.
+    col2im's scatter matrices are the process's, one per geometry and dtype.
     """
 
     def __init__(self, cfg: CnnConfig, dtype=np.float64) -> None:

@@ -434,10 +434,12 @@ def _task_items(manifest_path: Path, manifest: dict, task: str):
 
 
 def _feature_source(manifest_path: Path) -> tuple[dict, Callable]:
-    """The feature manifest at manifest_path, and a reader of one feature file's values."""
+    """The feature manifest at manifest_path, and a reader that reads each feature file once
+    and keeps its values as the float32 they are; a float64 network casts them back exactly."""
     manifest = ds.read_feature_manifest(manifest_path)
     shape = (manifest["n_channels"], manifest["n_bins"])
-    return manifest, lambda path: read_feature_file(path, shape, manifest_path)[0]
+    return manifest, functools.cache(
+        lambda path: read_feature_file(path, shape, manifest_path)[0].astype(np.float32))
 
 
 def _as_batches(items, read: Callable, n_classes: int, batch_size: int, rng):

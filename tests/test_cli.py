@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -1107,6 +1108,28 @@ def test_entropy_reads_only_analysed_windows(capsys, tmp_path):
     assert (run_dir / "reports" / "entropy.json").read_bytes() == report
 
 
+def test_train_reads_each_feature_file_once(capsys, tmp_path, monkeypatch):
+    # both tasks train on the real windows, and the stage reads each file for both
+    path = tiny_config(tmp_path)
+    for stage in ("synth", "preprocess", "featurize"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    real, reads = pipeline.read_feature_file, Counter()
+
+    def counted(file, *args):
+        reads[file] += 1
+        return real(file, *args)
+
+    monkeypatch.setattr(pipeline, "read_feature_file", counted)
+    assert run_cli(["train", "--config", str(path)], capsys)[0] == 0
+    manifest_path = tmp_path / "run" / "features" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    wanted = [file for task in ("binary", "categorical")
+              for split in ("train", "val")
+              for file, _ in pipeline._task_items(manifest_path, manifest, task)[0][split]]
+    assert len(set(wanted)) < len(wanted)  # some files serve both tasks
+    assert reads == Counter(set(wanted))
+
+
 def test_entropy_max_scale_too_large_for_windows_names_keys(capsys, tmp_path):
     # the config loads and the other stages run; entropy refuses before reading
     # a window (augment never ran, so there are no noisy windows to read)
@@ -1191,6 +1214,18 @@ def test_binary_input_that_is_a_directory_is_named(capsys, tmp_path, stage, earl
     target.unlink()
     target.mkdir()
     code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    assert json.loads(err) == {"error": "InvalidFormat", "message": f"{target} is not a file"}
+
+
+def test_events_table_that_is_a_directory_is_named_at_preprocess(capsys, tmp_path):
+    # the events table opens through the binary readers' opener too
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    target = tmp_path / "run" / "raw" / "sub-001" / "events.tsv"
+    target.unlink()
+    target.mkdir()
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
     assert code == 2, err
     assert json.loads(err) == {"error": "InvalidFormat", "message": f"{target} is not a file"}
 

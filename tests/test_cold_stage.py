@@ -47,7 +47,7 @@ _OUTPUTS = {
 def test_same_outputs_skips_only_the_stream_timing(tmp_path):
     a = _tree(tmp_path / "a", _OUTPUTS)
     b = _tree(tmp_path / "b", {**_OUTPUTS, "reports/stream_timing.json": '{"mean_proc_ms": 2.0}'})
-    assert cold_stage.same_outputs(a, b)
+    assert cold_stage.differing_outputs(a, b) == []
 
 
 def test_same_outputs_compares_metrics_whole(tmp_path):
@@ -56,14 +56,14 @@ def test_same_outputs_compares_metrics_whole(tmp_path):
     a = _tree(tmp_path / "a", _OUTPUTS)
     b = _tree(tmp_path / "b", {**_OUTPUTS, "reports/metrics.json":
                                _OUTPUTS["reports/metrics.json"].replace("0.5", "0.7")})
-    assert not cold_stage.same_outputs(a, b)
+    assert cold_stage.differing_outputs(a, b) == ["reports/metrics.json"]
 
 
 def test_same_outputs_differ_by_a_file_in_one_tree_only(tmp_path):
     a = _tree(tmp_path / "a", _OUTPUTS)
     b = _tree(tmp_path / "b", {**_OUTPUTS, "reports/extra.json": "{}"})
-    assert not cold_stage.same_outputs(a, b)
-    assert not cold_stage.same_outputs(b, a)
+    assert cold_stage.differing_outputs(a, b) == ["reports/extra.json"]
+    assert cold_stage.differing_outputs(b, a) == ["reports/extra.json"]
 
 
 def test_timed_keeps_the_report_the_child_prints():

@@ -474,3 +474,34 @@ def test_workspace_dtype_applies_inside_it_only(monkeypatch):
         assert isinstance(loss, float)
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
     assert [ws.dtype for ws in made] == [np.float64, np.float64]
+
+
+def test_col2im_scatter_is_shared_per_geometry_and_dtype_and_read_only(monkeypatch):
+    # the matrix depends only on the block's geometry and dtype, so a second
+    # workspace of one network reuses the first one's, and another dtype has its own
+    real, used = nn._col2im_scatter, []
+
+    def spy(*key):
+        used.append(real(*key))
+        return used[-1]
+
+    monkeypatch.setattr(nn, "_col2im_scatter", spy)
+    blocks = [(4, 2, False), (4, 1, True), (6, 2, False)]
+    cfg = small_config(blocks, channels=16, bins=16)
+    params = _biased_params(cfg, blocks)
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((5, 16, 16)).astype(np.float32)
+    ys = np.eye(3)[rng.integers(0, 3, size=5)]
+    runs = []
+    for dtype in (np.float32, np.float32, np.float64):
+        used.clear()
+        backward(params, cfg, xs, ys, Workspace(cfg, dtype))
+        runs.append(list(used))
+    first, second, wide = runs
+    assert len(first) == len(blocks) - 1
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert not any(a is b for a in first for b in wide)
+    assert {s.dtype for s in first} == {np.dtype(np.float32)}
+    for scatter in first + wide:
+        for part in (scatter.data, scatter.indices, scatter.indptr):
+            assert not part.flags.writeable

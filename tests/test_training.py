@@ -329,6 +329,24 @@ def test_train_reuses_one_workspace(monkeypatch):
     assert seen[0].dtype == np.float32
 
 
+def test_train_on_float32_batches_keeps_the_bits_of_float64_batches():
+    # cmd_train stacks the feature files' float32 values; the float32 workspace
+    # takes them as they are, and the run is the one their float64 copies give
+    _, train_batches, val_batches = toy_task(seed=4)
+    cfg = CnnConfig(2, 4, (BlockSpec(3, 2), BlockSpec(3, 1, True)), 2, seed=4)
+    as32 = [[(x.astype(np.float32), y) for x, y in batches]
+            for batches in (train_batches, val_batches)]
+    as64 = [[(x.astype(np.float64), y) for x, y in batches] for batches in as32]
+    tcfg = TrainConfig(max_epochs=4, patience=4, seed=2)
+    got, want = train(cfg, tcfg, *as32), train(cfg, tcfg, *as64)
+    assert sorted(got.params) == sorted(want.params)
+    for name, p in want.params.items():
+        assert got.params[name].tobytes() == p.tobytes(), name
+    assert json.dumps(list(map(asdict, got.epoch_log))) == json.dumps(
+        list(map(asdict, want.epoch_log)))
+    assert (got.best_epoch, got.stopped_epoch) == (want.best_epoch, want.stopped_epoch)
+
+
 def test_evaluate_without_a_workspace_makes_a_float64_one(monkeypatch):
     # eval's loss and accuracy come from the float64 network, as the checks expect
     seen = []
