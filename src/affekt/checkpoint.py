@@ -4,18 +4,21 @@ Layout: 4-byte magic "EEGM", u32 version, u32 config length, config JSON
 (UTF-8), then tensor records until end of file. Each record is u32 name
 length, name bytes, u32 rank, u32 dims, then the row-major payload as
 little-endian float32. Tensors are written in sorted-name order so identical
-models produce identical bytes.
+models produce identical bytes. A checkpoint is written as one list of parts and
+read as one byte string, parsed field by field at offsets checked against its
+length.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from .dataset import open_artifact, open_input
+from .dataset import read_input, write_artifact
 from .errors import InvalidFormat, ShapeMismatch
 from .nn import CnnConfig, init_params
 
@@ -47,26 +50,21 @@ def save_checkpoint(path, cfg: CnnConfig, params: dict[str, np.ndarray], meta: d
     if meta:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open_artifact(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for name in sorted(params):
-            tensor = np.asarray(params[name])
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+    parts = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob]
+    for name in sorted(params):
+        tensor = np.asarray(params[name])
+        encoded = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(encoded)) + encoded
+                     + struct.pack(f"<I{tensor.ndim}I", tensor.ndim, *tensor.shape))
+        parts.append(np.ascontiguousarray(tensor, dtype="<f4"))
+    write_artifact(path, *parts)
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+def _span(raw: bytes, at: int, count: int, path, what: str) -> slice:
+    """The count bytes of raw from offset at; InvalidFormat if the file ends first."""
+    if count > len(raw) - at:
         raise InvalidFormat(f"{path}: file ended inside {what}")
-    return data
+    return slice(at, at + count)
 
 
 def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
@@ -76,38 +74,37 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
     config, and tensors whose names or shapes differ from the ones that
     config's network has, are InvalidFormat.
     """
-    with open_input(path) as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidFormat(f"{path}: bad magic {magic!r}")
-        version, blob_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise InvalidFormat(f"{path}: unsupported version {version}")
-        blob = _read_exact(fh, blob_len, path, "config")
+    raw = read_input(path)
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise InvalidFormat(f"{path}: bad magic {raw[:4]!r}")
+    version, blob_len = struct.unpack("<II", raw[_span(raw, 4, 8, path, "header")])
+    if version != CHECKPOINT_VERSION:
+        raise InvalidFormat(f"{path}: unsupported version {version}")
+    blob = _span(raw, 12, blob_len, path, "config")
+    try:
+        header = json.loads(raw[blob].decode("utf-8"))
+        meta = header.pop("meta", {})
+        cfg = CnnConfig(**header)
+    except (ValueError, TypeError, AttributeError, ShapeMismatch) as exc:
+        raise InvalidFormat(f"{path}: bad config header: {exc}") from None
+    params: dict[str, np.ndarray] = {}
+    at = blob.stop
+    while at < len(raw):
+        (name_len,) = struct.unpack("<I", raw[_span(raw, at, 4, path, "a record header")])
+        encoded = raw[_span(raw, at + 4, name_len, path, "tensor name")]
         try:
-            header = json.loads(blob.decode("utf-8"))
-            meta = header.pop("meta", {})
-            cfg = CnnConfig(**header)
-        except (ValueError, TypeError, AttributeError, ShapeMismatch) as exc:
-            raise InvalidFormat(f"{path}: bad config header: {exc}") from None
-        params: dict[str, np.ndarray] = {}
-        while True:
-            lead = fh.read(4)
-            if not lead:
-                break
-            if len(lead) != 4:
-                raise InvalidFormat(f"{path}: file ended inside a record header")
-            (name_len,) = struct.unpack("<I", lead)
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, "tensor rank"))
-            if rank > MAX_RANK:
-                raise InvalidFormat(f"{path}: implausible rank {rank} for {name}")
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(fh, 4 * rank, path, "tensor dims")
-            )
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * count, path, f"payload of {name}")
-            params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError:
+            raise InvalidFormat(f"{path}: tensor name {encoded!r} is not UTF-8") from None
+        at += 4 + name_len
+        (rank,) = struct.unpack("<I", raw[_span(raw, at, 4, path, "tensor rank")])
+        if rank > MAX_RANK:
+            raise InvalidFormat(f"{path}: implausible rank {rank} for {name}")
+        dims = struct.unpack(f"<{rank}I", raw[_span(raw, at + 4, 4 * rank, path, "tensor dims")])
+        at += 4 + 4 * rank
+        payload = _span(raw, at, 4 * math.prod(dims), path, f"payload of {name}")
+        params[name] = np.frombuffer(raw[payload], "<f4").reshape(dims).astype(np.float64)
+        at = payload.stop
     misfit = _misfit(cfg, params)
     if misfit:
         raise InvalidFormat(f"{path}: {misfit}")

@@ -14,8 +14,8 @@ The writers of JSON objects, events tables and float32 payloads live here too,
 beside their readers; eeg.f32 and the window files share one payload format.
 The config, eeg.json and both manifests name their keys once, each with the kind
 of value it holds; `_check_keys` refuses a missing key or one of another kind.
-Every artifact writer in the package opens its file through `open_artifact`,
-which writes over an existing file in place instead of truncating it first.
+Files move as whole byte strings: each writer hands its bytes to `write_artifact`, which
+rewrites a file in place without truncating it first; each reader parses `read_input`'s.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import logging
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from enum import Enum
 from pathlib import Path
@@ -90,11 +89,10 @@ class LabeledWindow:
 
 def read_json_object(path: Path) -> dict:
     """Parse a UTF-8 file holding one JSON object; InvalidFormat names the file if it does not."""
-    with open_input(path) as fh:
-        try:
-            obj = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidFormat(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        obj = json.loads(read_input(path).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidFormat(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidFormat(f"{path} must hold a JSON object")
     return obj
@@ -134,36 +132,41 @@ def _check_keys(path, objs: list, keys: dict, where: str = "") -> None:
             raise InvalidFormat(f"{path}: {where.format(i)}{key} must be {want}, got {value!r}")
 
 
-def open_input(path, buffering: int = -1):
-    """Open path for reading bytes; a missing path is MissingFile and a directory
-    InvalidFormat, each naming the path. The binary readers open their inputs here."""
+def read_input(path) -> bytes:
+    """The bytes of the file at path, in one read; a missing path is MissingFile and a
+    directory InvalidFormat, each naming the path. Every reader in the package reads here."""
     try:
-        return open(path, "rb", buffering=buffering)
+        with open(path, "rb", buffering=0) as fh:
+            return fh.readall()
     except FileNotFoundError:
         raise MissingFile(f"{path} does not exist") from None
     except IsADirectoryError:
         raise InvalidFormat(f"{path} is not a file") from None
 
 
-@contextmanager
-def open_artifact(path, mode: str = "wb", **kwargs):
-    """Open path for writing ("w" or "wb", with open's keyword arguments) without
-    truncating it, and cut the file at the final position when the block ends.
+def write_artifact(path, *parts) -> None:
+    """Write the bytes-like parts to path in order from offset 0, without truncating it
+    first, and cut the file where they end.
 
-    An existing file ends with the bytes a truncating open would leave, but keeps
-    its blocks: on ext4, rewriting 1,024 window files of 12 KB took 0.02 s of CPU
-    this way against 0.07-0.12 s truncated and refilled. A new file gets open()'s
-    permissions. A block that raises leaves the file part rewritten (see pipeline).
+    An existing file ends with the bytes a truncating open would leave but keeps its
+    blocks: rewriting 1,024 window files of 12 KB on ext4 took 0.02 s of CPU this way,
+    0.07-0.12 s truncated and refilled. A new file gets open()'s permissions. A write
+    that fails leaves the file part rewritten (see pipeline).
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode, **kwargs) as fh:
-        yield fh
-        fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for part in parts:
+            view = memoryview(part).cast("B")
+            while view:
+                view = view[os.write(fd, view):]
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
 
 
 def write_json_object(path: Path, obj: dict) -> None:
     """Write obj as indented JSON with sorted keys and a final newline."""
-    with open_artifact(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
@@ -180,8 +183,7 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
         raise InvalidFormat(f"{sidecar_path}: n_samples must be an integer >= 0, got {n_samples!r}")
     if not 0 < rate < math.inf:
         raise InvalidFormat(f"{sidecar_path}: sample_rate_hz must be finite and > 0, got {rate!r}")
-    with open_input(data_path, buffering=0) as fh:
-        raw = read_f32_payload(fh, data_path, (len(names), n_samples), "sidecar")
+    raw = f32_payload(read_input(data_path), data_path, (len(names), n_samples), "sidecar")
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         channel, sample = divmod(int(bad[0]), n_samples)
@@ -192,47 +194,50 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
 
 
 def _load_events(events_path: Path) -> list[EmotionEvent]:
+    try:
+        text = read_input(events_path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedEvent(f"{events_path} is not UTF-8: {exc}") from None
     events = []
-    with io.TextIOWrapper(open_input(events_path), encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        header = reader.fieldnames or []
-        missing = [c for c in EVENT_COLUMNS if c not in header]
-        if missing:
-            raise MalformedEvent(f"{events_path}: header missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                ev = EmotionEvent(
-                    onset_s=float(row["onset"]),
-                    duration_s=float(row["duration"]),
-                    trial_type=row["trial_type"],
-                    valence=float(row["valence"]),
-                    arousal=float(row["arousal"]),
-                    emotion=row["emotion"].strip(),
-                )
-            except (TypeError, ValueError, KeyError, AttributeError) as exc:
-                raise MalformedEvent(f"{events_path} row {row_num}: {exc}") from exc
-            if not (0 <= ev.onset_s < math.inf and 0 <= ev.duration_s < math.inf):
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter="\t")
+    header = reader.fieldnames or []
+    missing = [c for c in EVENT_COLUMNS if c not in header]
+    if missing:
+        raise MalformedEvent(f"{events_path}: header missing columns {missing}")
+    for row_num, row in enumerate(reader, start=2):
+        try:
+            ev = EmotionEvent(
+                onset_s=float(row["onset"]),
+                duration_s=float(row["duration"]),
+                trial_type=row["trial_type"],
+                valence=float(row["valence"]),
+                arousal=float(row["arousal"]),
+                emotion=row["emotion"].strip(),
+            )
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            raise MalformedEvent(f"{events_path} row {row_num}: {exc}") from exc
+        if not (0 <= ev.onset_s < math.inf and 0 <= ev.duration_s < math.inf):
+            raise MalformedEvent(
+                f"{events_path} row {row_num}: onset and duration must be finite and >= 0"
+            )
+        for dim, value in (("valence", ev.valence), ("arousal", ev.arousal)):
+            if not (RATING_MIN <= value <= RATING_MAX):
                 raise MalformedEvent(
-                    f"{events_path} row {row_num}: onset and duration must be finite and >= 0"
+                    f"{events_path} row {row_num}: {dim}={value} outside "
+                    f"[{RATING_MIN}, {RATING_MAX}]"
                 )
-            for dim, value in (("valence", ev.valence), ("arousal", ev.arousal)):
-                if not (RATING_MIN <= value <= RATING_MAX):
-                    raise MalformedEvent(
-                        f"{events_path} row {row_num}: {dim}={value} outside "
-                        f"[{RATING_MIN}, {RATING_MAX}]"
-                    )
-            if not ev.emotion:
-                raise MalformedEvent(f"{events_path} row {row_num}: empty emotion name")
-            events.append(ev)
+        if not ev.emotion:
+            raise MalformedEvent(f"{events_path} row {row_num}: empty emotion name")
+        events.append(ev)
     return events
 
 
 def write_events(path, events: list[EmotionEvent]) -> None:
     """Write an events table that _load_events reads back as the same events."""
-    with open_artifact(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(EVENT_COLUMNS)
-        writer.writerows(astuple(ev) for ev in events)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, delimiter="\t", lineterminator="\n")
+    writer.writerows([EVENT_COLUMNS, *map(astuple, events)])
+    write_artifact(path, text.getvalue().encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -461,32 +466,24 @@ def make_batches(items: list, batch_size: int = DEFAULT_BATCH_SIZE) -> list[list
 
 def write_window_file(path, data: np.ndarray) -> None:
     """Write a (channels, samples) array as channel-major little-endian float32."""
-    with open_artifact(path) as fh:
-        fh.write(np.ascontiguousarray(data, dtype="<f4"))
+    write_artifact(path, np.ascontiguousarray(data, dtype="<f4"))
 
 
-def read_f32_payload(fh, path, shape: tuple[int, int], shape_from: str) -> np.ndarray:
-    """The rest of unbuffered file fh as a shape array of little-endian float32; unless
-    its fstat size fits the shape that shape_from gives, PayloadSizeMismatch names path.
-
-    The reader of .f32 files and of feature payloads: an fstat for the size, then one
-    readinto an array of that size, so the floats are the file's bytes, all of them read.
-    A stat, then numpy's file reader, took 39 ms per 1,024 reads of 12 KB window files
-    (12 ms of it system time), against 16 ms this way."""
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
+def f32_payload(data, path, shape: tuple[int, int], shape_from: str) -> np.ndarray:
+    """The bytes-like data, the payload of the file at path, as a read-only shape array of
+    little-endian float32; unless its size fits the shape that shape_from gives,
+    PayloadSizeMismatch names path. The checked payload of .f32 files and feature files."""
+    size = len(data)
     if size % 4 or size // 4 != shape[0] * shape[1]:
         on_disk = f"{size} bytes" if size % 4 else f"{size // 4} floats"
         raise PayloadSizeMismatch(f"{path}: {on_disk} on disk, "
                                   f"{shape_from} says {shape[0]}x{shape[1]}")
-    raw = np.empty(shape, "<f4")
-    if (got := fh.readinto(raw)) != size:  # the file shrank after fstat
-        raise PayloadSizeMismatch(f"{path}: read {got} of the {size} bytes fstat gave")
-    return raw
+    return np.frombuffer(data, "<f4").reshape(shape)
 
 
 def read_window_file(path, n_channels: int, window_len: int) -> np.ndarray:
-    with open_input(path, buffering=0) as fh:
-        return read_f32_payload(fh, path, (n_channels, window_len), "manifest").astype(np.float64)
+    raw = f32_payload(read_input(path), path, (n_channels, window_len), "manifest")
+    return raw.astype(np.float64)
 
 
 # --- the manifests that preprocess and featurize write for later stages ---

@@ -35,12 +35,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ScaleTooLarge, SeriesTooShort
 
 _BLOCK = 16  # offsets per step of the sorted sweep; 32 and 64 timed slower at window size
+# The sweep's difference buffers by size, kept across calls (one call at a time): a new 0.5 MB
+# array per call faulted its pages in again whenever malloc had trimmed the top of the heap.
+_sweep_buffer = lru_cache(maxsize=16)(np.empty)
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,10 @@ def template_match_counts(series, m: int, r: float) -> tuple[int, int]:
     ahead = np.ndarray((m + 1, _BLOCK, nt + 1), buffer=t, strides=(s0, s1, s1))
     a = b = 0
     k, lo, hi = 1, 0, nt
+    buffer = _sweep_buffer((m + 1) * _BLOCK * nt)
     while k < nt:
-        d = ahead[:, :, lo + k : hi + k] - t[:, None, lo:hi]
+        d = buffer[: (m + 1) * _BLOCK * (hi - lo)].reshape(m + 1, _BLOCK, hi - lo)
+        np.subtract(ahead[:, :, lo + k : hi + k], t[:, None, lo:hi], out=d)
         np.abs(d, out=d)
         alive = np.flatnonzero(d[0, -1] <= r)
         # d[c] becomes the Chebyshev distance over values 1..c+1

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import _int_at_least, open_artifact, open_input, read_f32_payload
+from .dataset import _int_at_least, f32_payload, read_input, write_artifact
 from .errors import (EmptyBand, InvalidFormat, NonFiniteSample, NyquistExceeded,
                      PayloadSizeMismatch, ShapeMismatch, WindowTooShort)
 from .signals import zscore_array
@@ -189,29 +189,26 @@ def write_feature_file(path, values: np.ndarray, label_id: int) -> None:
     if values.ndim != 2:
         raise ShapeMismatch(f"feature payload must be 2-D, got ndim={values.ndim}")
     n_channels, n_bins = values.shape
-    with open_artifact(path) as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIII", FEATURE_VERSION, n_channels, n_bins, label_id))
-        fh.write(np.ascontiguousarray(values, dtype="<f4"))
+    header = FEATURE_MAGIC + struct.pack("<IIII", FEATURE_VERSION, n_channels, n_bins, label_id)
+    write_artifact(path, header, np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_feature_file(path, shape=None, shape_from="the manifest") -> tuple[np.ndarray, int]:
     """(values as float64, label id); a missing file, a directory, a bad header, size or a
     non-finite value, or dims other than shape_from's (n_channels, n_bins) shape, is a usage
     error naming it."""
-    with open_input(path, buffering=0) as fh:
-        header = fh.read(20)
-        if header[:4] != FEATURE_MAGIC:
-            raise InvalidFormat(f"{path}: bad magic {header[:4]!r}")
-        if len(header) != 20:
-            raise InvalidFormat(f"{path}: truncated header")
-        version, n_channels, n_bins, label_id = struct.unpack("<IIII", header[4:])
-        if version != FEATURE_VERSION:
-            raise InvalidFormat(f"{path}: unsupported version {version}")
-        if shape is not None and (n_channels, n_bins) != tuple(shape):
-            raise PayloadSizeMismatch(f"{path}: header says {n_channels}x{n_bins}, {shape_from}'s "
-                                      f"n_channels x n_bins say {shape[0]}x{shape[1]}")
-        payload = read_f32_payload(fh, path, (n_channels, n_bins), "its header")
+    data = read_input(path)
+    if data[:4] != FEATURE_MAGIC:
+        raise InvalidFormat(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 20:
+        raise InvalidFormat(f"{path}: truncated header")
+    version, n_channels, n_bins, label_id = struct.unpack_from("<IIII", data, 4)
+    if version != FEATURE_VERSION:
+        raise InvalidFormat(f"{path}: unsupported version {version}")
+    if shape is not None and (n_channels, n_bins) != tuple(shape):
+        raise PayloadSizeMismatch(f"{path}: header says {n_channels}x{n_bins}, {shape_from}'s "
+                                  f"n_channels x n_bins say {shape[0]}x{shape[1]}")
+    payload = f32_payload(memoryview(data)[20:], path, (n_channels, n_bins), "its header")
     bad = np.flatnonzero(~np.isfinite(payload))
     if bad.size:
         channel, bin_idx = divmod(int(bad[0]), n_bins)

@@ -10,7 +10,7 @@ raw/<stream.source_subject>/, a path that the config names, so that a missing
 subject names that key. A stage's writes are the files it commits last, and
 the runner deletes them before the body runs, so a run that fails part way
 leaves none for a later stage.
-Every artifact is written through dataset.open_artifact, which rewrites an
+Every artifact is written through dataset.write_artifact, which rewrites an
 existing file in place rather than truncating it. A rerun that dies part way
 can therefore leave window or feature files half rewritten, and this
 delete-first, manifest-last protocol is what keeps a later stage from
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, replace
@@ -65,8 +66,7 @@ _ROW_BLOCK_BYTES = 2 << 20
 
 def _write_jsonl(path: Path, rows) -> None:
     """One JSON object per line, keys sorted."""
-    with ds.open_artifact(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    ds.write_artifact(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode())
 
 
 class Stage(NamedTuple):
@@ -153,6 +153,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
     n_events = 0
     first = None
     sidecars: dict[str, Path] = {}  # by subject id, which prefixes each window id
+    folder = os.fspath(manifest_path.parent)
     for subject_dir in subject_dirs:
         rec, events = ds.load_recording(subject_dir)
         sidecar = subject_dir / "eeg.json"
@@ -170,7 +171,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
         except RecordingTooShort as exc:
             raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
         for w in ds.extract_windows(rec, events, table, cfg.window):
-            ds.write_window_file(manifest_path.parent / f"{w.window_id}.f32", w.data)
+            ds.write_window_file(f"{folder}/{w.window_id}.f32", w.data)
             windows.append(replace(w, data=None))
         n_events += len(events)
 
@@ -221,7 +222,8 @@ def _window_source(manifest_path: Path, manifest: dict | None = None) -> tuple[d
     a given manifest stands in for the file, whose windows have its shape."""
     manifest = ds.read_window_manifest(manifest_path) if manifest is None else manifest
     shape = (len(manifest["channel_names"]), manifest["window_len"])
-    return manifest, lambda r: ds.read_window_file(manifest_path.parent / r["file"], *shape)
+    folder = os.fspath(manifest_path.parent)
+    return manifest, lambda r: ds.read_window_file(f"{folder}/{r['file']}", *shape)
 
 
 @_stage(("windows/windows.json",), writes=("windows_noisy/windows.json",))
@@ -230,9 +232,10 @@ def cmd_augment(cfg: PipelineConfig, clean_path: Path, noisy_path: Path) -> dict
     # Per-window seeds spawned from noise.seed are independent across windows
     # and across noise seeds; arithmetic like seed ^ idx is not (202^1 == 203^0).
     seeds = np.random.SeedSequence(cfg.noise.seed).generate_state(len(manifest["windows"]))
+    folder = os.fspath(noisy_path.parent)
     for record, seed in zip(manifest["windows"], seeds):
         noisy = add_gaussian_noise(read(record), replace(cfg.noise, seed=int(seed)))
-        ds.write_window_file(noisy_path.parent / record["file"], noisy)
+        ds.write_window_file(f"{folder}/{record['file']}", noisy)
     manifest["noise"] = asdict(cfg.noise)
     ds.write_json_object(noisy_path, manifest)
     return {"n_windows": len(manifest["windows"]), "max_magnitude": cfg.noise.max_magnitude}

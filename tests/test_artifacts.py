@@ -1,5 +1,6 @@
-"""Artifact writers: in-place rewrites that leave exactly the new bytes, and one
-way of opening a file for writing in the package."""
+"""Artifact writers: in-place rewrites that leave exactly the new bytes, also when
+the system writes a few bytes per call; and one way each of opening a file for
+writing and for reading in the package."""
 
 import ast
 import os
@@ -13,7 +14,7 @@ from affekt import pipeline
 from affekt.checkpoint import save_checkpoint
 from affekt.dataset import (
     EmotionEvent,
-    open_artifact,
+    write_artifact,
     write_events,
     write_json_object,
     write_window_file,
@@ -69,11 +70,21 @@ def test_rewrite_over_a_longer_file_holds_exactly_the_new_bytes(tmp_path, write)
     assert rewritten.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_short_writes_leave_the_bytes_of_a_normal_write(tmp_path, monkeypatch, write):
+    normal, short = tmp_path / "normal", tmp_path / "short"
+    write(normal, 50)
+    write(short, 100)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    write(short, 50)
+    assert short.read_bytes() == normal.read_bytes()
+
+
 def test_new_artifact_gets_the_permissions_of_open(tmp_path):
     old = os.umask(0o027)
     try:
-        with open_artifact(tmp_path / "helper", "w") as fh:
-            fh.write("x")
+        write_artifact(tmp_path / "helper", b"x")
         with open(tmp_path / "builtin", "w") as fh:
             fh.write("x")
     finally:
@@ -83,16 +94,20 @@ def test_new_artifact_gets_the_permissions_of_open(tmp_path):
     assert helper & 0o777 == 0o640
 
 
-HELPER = ("dataset.py", "open_artifact")
+HELPER = ("dataset.py", "write_artifact")
+READER = ("dataset.py", "read_input")
 WRITE_METHODS = {"tofile", "write_text", "write_bytes"}
+READ_METHODS = {"fromfile", "read_text", "read_bytes"}
 
 
-def _write_opens(tree: ast.AST, helper: str | None, in_helper: bool = False):
+def _opens(tree: ast.AST, helper: str | None, writes: bool, in_helper: bool = False):
     """(line, what) of each call in tree, outside the function named helper, that
-    opens a path for writing."""
+    opens a path for writing (writes) or for reading (not writes). An open whose
+    mode is not a constant read-only one counts as a write."""
+    methods = WRITE_METHODS if writes else READ_METHODS
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.FunctionDef):
-            yield from _write_opens(node, helper, in_helper or node.name == helper)
+            yield from _opens(node, helper, writes, in_helper or node.name == helper)
             continue
         if isinstance(node, ast.Call) and not in_helper:
             func = node.func
@@ -103,24 +118,39 @@ def _write_opens(tree: ast.AST, helper: str | None, in_helper: bool = False):
                     isinstance(func.value, ast.Name) and func.value.id in ("os", "io")) else 1
                 mode = node.args[at] if len(node.args) > at else next(
                     (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
-                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                        and not set(mode.value) & set("wax+")):
+                reads = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                         and not set(mode.value) & set("wax+"))
+                if reads != writes:
                     yield node.lineno, ast.unparse(node)
-            elif isinstance(func, ast.Attribute) and name in WRITE_METHODS:
+            elif isinstance(func, ast.Attribute) and name in methods:
                 yield node.lineno, ast.unparse(node)
-        yield from _write_opens(node, helper, in_helper)
+        yield from _opens(node, helper, writes, in_helper)
 
 
-def test_every_write_goes_through_open_artifact():
+def _package_opens(helper: tuple[str, str], writes: bool) -> list[str]:
     package = Path(affekt.__file__).parent
-    assert f"def {HELPER[1]}(" in (package / HELPER[0]).read_text()
-    found = [
+    assert f"def {helper[1]}(" in (package / helper[0]).read_text()
+    return [
         f"{path.name}:{line}: {call}"
         for path in sorted(package.glob("*.py"))
-        for line, call in _write_opens(ast.parse(path.read_text(), str(path)),
-                                       HELPER[1] if path.name == HELPER[0] else None)
+        for line, call in _opens(ast.parse(path.read_text(), str(path)),
+                                 helper[1] if path.name == helper[0] else None, writes)
     ]
-    assert not found, "open files for writing through dataset.open_artifact:\n" + "\n".join(found)
+
+
+def test_every_write_goes_through_write_artifact():
+    found = _package_opens(HELPER, writes=True)
+    assert not found, "write files through dataset.write_artifact:\n" + "\n".join(found)
+
+
+def test_every_read_goes_through_read_input():
+    found = _package_opens(READER, writes=False)
+    assert not found, "read files through dataset.read_input:\n" + "\n".join(found)
+
+
+def test_read_scanner_flags_a_bare_open_and_fromfile():
+    snippet = "open(p)\nnp.fromfile(p)\nopen(p, 'wb')\n"
+    assert [line for line, _ in _opens(ast.parse(snippet), None, writes=False)] == [1, 2]
 
 
 def test_every_manifest_read_goes_through_its_reader():

@@ -1230,6 +1230,19 @@ def test_events_table_that_is_a_directory_is_named_at_preprocess(capsys, tmp_pat
     assert json.loads(err) == {"error": "InvalidFormat", "message": f"{target} is not a file"}
 
 
+def test_events_table_that_is_not_utf8_is_named_at_preprocess(capsys, tmp_path):
+    # a table saved as Latin-1: the accent is byte 0xe9, which UTF-8 never starts with
+    path = tiny_config(tmp_path)
+    assert run_cli(["synth", "--config", str(path)], capsys)[0] == 0
+    target = tmp_path / "run" / "raw" / "sub-002" / "events.tsv"
+    target.write_bytes(target.read_bytes().replace(b"stimulus", b"stimul\xe9", 1))
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2, err
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedEvent"
+    assert payload["message"].startswith(f"{target} is not UTF-8")
+
+
 def test_checkpoints_identical_across_blas_thread_counts(tmp_path):
     path = tiny_config(tmp_path)
     src = str(Path(affekt.__file__).resolve().parent.parent)

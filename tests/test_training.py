@@ -282,6 +282,28 @@ def test_checkpoint_that_does_not_fit_its_model_is_invalid(tmp_path, damage, nam
     assert str(path) in str(info.value)
 
 
+def test_checkpoint_dims_that_outrun_the_file_are_invalid(tmp_path):
+    # 0xFFFFFFFF x 0xFFFFFFFF floats are over 2^63 bytes: compared with the file, never read
+    cfg = CnnConfig(input_channels=4, input_bins=8, blocks=(BlockSpec(3, 2, False),), n_classes=2)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_raw_checkpoint(cfg, {}) + struct.pack("<I", 7) + b"conv0.w"
+                     + struct.pack("<III", 2, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(64))
+    with pytest.raises(InvalidFormat, match="file ended inside payload of conv0.w") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_tensor_name_that_is_not_utf8_is_invalid(tmp_path):
+    cfg = CnnConfig(input_channels=4, input_bins=8, blocks=(BlockSpec(3, 2, False),), n_classes=2)
+    raw = _raw_checkpoint(cfg, init_params(cfg))
+    assert raw.count(b"conv0.w") == 1
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(raw.replace(b"conv0.w", b"conv0\xffw"))
+    with pytest.raises(InvalidFormat, match="not UTF-8") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize(
     "damage, named",
     [("tensor missing", "dense.w"), ("tensor misshaped", "conv0.w"), ("tensor extra", "conv1.w")],
