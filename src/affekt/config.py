@@ -11,8 +11,9 @@ validated by its stage's own rules when the file is loaded: a bad value fails
 as InvalidFormat naming the section before any stage runs. The filter, model
 and stream sections run their spec's rules on the values they hold. First, a
 key whose default is an int, float, str or dict takes only a value of that
-JSON kind (dataset's kinds: an int for a float; never a bool), every seed must
-be >= 0, and no number may be NaN or infinite (json.load accepts both).
+JSON kind (dataset's kinds: an int for a float; never a bool), one whose default
+is a tuple of numbers takes only a list of numbers, every seed must be >= 0, and
+no number may be NaN or infinite (json.load accepts both).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import (_KINDS, DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, _check_keys,
-                      read_json_object)
+from .dataset import (_KINDS, DEFAULT_WINDOW_LEN, SmoteSpec, SplitSpec, WindowSpec, _all_of_kind,
+                      _check_keys, read_json_object)
 from .entropy import EntropyParams, NoiseSpec
 from .errors import AffektError, InvalidFormat
 from .features import PsdSpec
@@ -169,13 +170,17 @@ def _build_section(default, data, where: str):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(default)})
     if unknown:
         raise InvalidFormat(f"config section {where!r}: unknown keys {unknown}")
-    # a key whose default is of no kind (a tuple, None, a bool) is left to the section's rules
+    # a key whose default is of no kind (None, a bool, a tuple) is left to the rules below
     kinds = {key: kind for key in data if (kind := type(getattr(default, key))) in _KINDS}
     _check_keys(f"config section {where!r}", [data], kinds)
     coerced = {}
     for key, value in data.items():
         if key == "seed" and value < 0:
             raise InvalidFormat(f"config section {where!r}: seed must be >= 0, got {value!r}")
+        numbers = getattr(default, key)  # a tuple of numbers takes a list of numbers
+        if type(numbers) is tuple and _all_of_kind(numbers, float) and not (
+                type(value) is list and _all_of_kind(value, float)):
+            raise InvalidFormat(f"config section {where!r}: {key} must be a list of numbers, got {value!r}")
         if not _finite(value):
             raise InvalidFormat(f"config section {where!r}: {key} must be finite, got {value!r}")
         if isinstance(value, list):

@@ -5,10 +5,12 @@ sidecar (subject id, sampling rate, channel names, sample count), an eeg.f32
 raw payload (channel-major little-endian float32), and an events.tsv table
 with onset / duration / trial_type / valence / arousal / emotion columns.
 
-Labels carry two views of the same event: a categorical id from a dataset-wide
-emotion table (a dict from name to id, ids in first-seen order), and an
-optional binary polarity derived from a rating dimension against (low, high)
-thresholds. Ratings in the open middle band have no binary polarity.
+A window is its manifest record from the moment it is cut: extract_windows pairs
+each record (id, file, subject id, emotion, rating and both labels; preprocess adds
+the split) with its data. An event has two labels: a categorical id from a
+dataset-wide emotion table (a dict from name to id, ids in first-seen order), and a
+binary polarity, a name from BINARY_CLASS_NAMES, from a rating dimension against
+(low, high) thresholds. Ratings in the closed middle band have no polarity (None).
 
 The writers of JSON objects, events tables and float32 payloads live here too,
 beside their readers; eeg.f32 and the window files share one payload format.
@@ -27,7 +29,6 @@ import logging
 import math
 import os
 from dataclasses import astuple, dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +53,8 @@ DEFAULT_WINDOW_LEN = 1500
 EVENT_COLUMNS = ("onset", "duration", "trial_type", "valence", "arousal", "emotion")
 
 
-class BinaryClass(str, Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-
-
 # Fixed output order for the two-class head: index 0 detects the negative state.
-BINARY_CLASS_NAMES = (BinaryClass.NEGATIVE.value, BinaryClass.POSITIVE.value)
+BINARY_CLASS_NAMES = ("negative", "positive")
 
 
 @dataclass(frozen=True)
@@ -69,22 +65,6 @@ class EmotionEvent:
     valence: float
     arousal: float
     emotion: str
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    categorical: int
-    binary: BinaryClass | None
-
-
-@dataclass
-class LabeledWindow:
-    window_id: str
-    subject_id: str
-    data: np.ndarray | None  # None once the window is written out
-    label: ClassLabel
-    emotion: str
-    rating: float
 
 
 def read_json_object(path: Path) -> dict:
@@ -242,7 +222,8 @@ def write_events(path, events: list[EmotionEvent]) -> None:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Event windows: their length, and the rating rule behind the binary label."""
+    """Event windows: their length, and the rating rule behind the binary label, whose
+    rating_dimension names the EmotionEvent field (the events.tsv column) it reads."""
 
     length_samples: int = DEFAULT_WINDOW_LEN
     thresholds: tuple = (4.0, 6.0)
@@ -261,23 +242,17 @@ class WindowSpec:
                 f"rating_dimension must be arousal or valence, got {self.rating_dimension!r}"
             )
 
-    def rating(self, event: EmotionEvent) -> float:
-        return event.arousal if self.rating_dimension == "arousal" else event.valence
-
 
 def label_from_ratings(
     event: EmotionEvent, table: dict[str, int], spec: WindowSpec = WindowSpec()
-) -> ClassLabel:
-    """Binary polarity from one rating dimension plus the categorical id (next id if new)."""
+) -> tuple[int, str | None]:
+    """The categorical id (the next id if the emotion is new) and the binary polarity of one
+    rating dimension: BINARY_CLASS_NAMES[0] below the low threshold, [1] above the high one."""
     low, high = spec.thresholds
-    rating = spec.rating(event)
-    if rating < low:
-        binary: BinaryClass | None = BinaryClass.NEGATIVE
-    elif rating > high:
-        binary = BinaryClass.POSITIVE
-    else:
-        binary = None
-    return ClassLabel(categorical=table.setdefault(event.emotion, len(table)), binary=binary)
+    rating = getattr(event, spec.rating_dimension)
+    binary = (BINARY_CLASS_NAMES[0] if rating < low
+              else BINARY_CLASS_NAMES[1] if rating > high else None)
+    return table.setdefault(event.emotion, len(table)), binary
 
 
 def extract_windows(
@@ -285,26 +260,21 @@ def extract_windows(
     events: list[EmotionEvent],
     table: dict[str, int],
     spec: WindowSpec = WindowSpec(),
-) -> list[LabeledWindow]:
-    """Fixed-length windows at each event onset, as views of rec.data; short events are skipped."""
+) -> list[tuple[dict, np.ndarray]]:
+    """A (manifest record without its split, data) pair per event, the data a view of
+    rec.data from the event's onset; events with too few samples left are skipped."""
     windows = []
-    skipped = 0
     for idx, ev in enumerate(events):
         start = int(round(ev.onset_s * rec.sample_rate_hz))
         if start + spec.length_samples > rec.n_samples:
-            skipped += 1
             continue
-        windows.append(
-            LabeledWindow(
-                window_id=f"{rec.subject_id}-e{idx:03d}",
-                subject_id=rec.subject_id,
-                data=rec.data[:, start:start + spec.length_samples],
-                label=label_from_ratings(ev, table, spec),
-                emotion=ev.emotion,
-                rating=spec.rating(ev),
-            )
-        )
-    if skipped:
+        categorical, binary = label_from_ratings(ev, table, spec)
+        window_id = f"{rec.subject_id}-e{idx:03d}"
+        record = {"id": window_id, "file": f"{window_id}.f32", "subject_id": rec.subject_id,
+                  "categorical": categorical, "binary": binary, "emotion": ev.emotion,
+                  "rating": getattr(ev, spec.rating_dimension)}
+        windows.append((record, rec.data[:, start:start + spec.length_samples]))
+    if skipped := len(events) - len(windows):
         log.warning(
             "%s: skipped %d of %d events with fewer than %d samples remaining",
             rec.subject_id, skipped, len(events), spec.length_samples,
@@ -352,8 +322,8 @@ def smote_resample(
             continue
         if count <= spec.k_neighbors:
             raise ClassTooSmall(
-                f"class {cls!r} has {count} members, needs more than "
-                f"k_neighbors={spec.k_neighbors} to interpolate"
+                f"class {cls} has {count} members, needs more than "
+                f"k_neighbors={spec.k_neighbors} to interpolate", cls
             )
         idx = np.flatnonzero(y == cls)
         pts = x[idx]
@@ -413,20 +383,18 @@ def _allocate(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int
     return n_train, n_val, n_test
 
 
-def split_windows(
-    windows: list[LabeledWindow], spec: SplitSpec = SplitSpec()
-) -> dict[str, list[LabeledWindow]]:
-    """Seeded train/val/test split, stratified by categorical label.
+def split_windows(windows: list[dict], spec: SplitSpec = SplitSpec()) -> dict[str, list[dict]]:
+    """Seeded train/val/test split of window records, stratified by their "categorical".
 
-    level="subject" keeps each subject's windows in a single split instead
+    level="subject" keeps each "subject_id"'s windows in a single split instead
     (coarser, no stratification guarantee).
     """
     if not windows:
         raise EmptyClass("no windows to split")
     rng = np.random.default_rng(spec.seed)
-    out: dict[str, list[LabeledWindow]] = {name: [] for name in SPLIT_NAMES}
+    out: dict[str, list[dict]] = {name: [] for name in SPLIT_NAMES}
     if spec.level == "subject":
-        subjects = sorted({w.subject_id for w in windows})
+        subjects = sorted({w["subject_id"] for w in windows})
         order = [subjects[i] for i in rng.permutation(len(subjects))]
         n_train, n_val, _ = _allocate(len(order), spec.ratios)
         assignment = {}
@@ -435,11 +403,11 @@ def split_windows(
                 "train" if pos < n_train else "val" if pos < n_train + n_val else "test"
             )
         for w in windows:
-            out[assignment[w.subject_id]].append(w)
+            out[assignment[w["subject_id"]]].append(w)
     else:
-        groups: dict[int, list[LabeledWindow]] = {}
+        groups: dict[int, list[dict]] = {}
         for w in windows:
-            groups.setdefault(w.label.categorical, []).append(w)
+            groups.setdefault(w["categorical"], []).append(w)
         for cls in sorted(groups):
             ws = groups[cls]
             shuffled = [ws[i] for i in rng.permutation(len(ws))]

@@ -85,8 +85,12 @@ class MalformedEvent(UsageError):
     """An events table row is unparseable; message names the row."""
 
 
-class ClassTooSmall(AffektError):
-    """A minority class has too few members for k-neighbor interpolation."""
+class ClassTooSmall(UsageError):
+    """A minority class has too few members for k-neighbor interpolation; label is that class."""
+
+    def __init__(self, message: str, label=None):
+        super().__init__(message)
+        self.label = label
 
 
 class EmptyClass(AffektError):

@@ -44,6 +44,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
 from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
 from .errors import (
+    ClassTooSmall,
     EmptyEvaluationSet,
     InvalidFormat,
     LayoutMismatch,
@@ -149,7 +150,7 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
         raise MissingFile(f"{raw} contains no subject directories")
 
     table: dict[str, int] = {}
-    windows: list[ds.LabeledWindow] = []  # metadata only; each window's data is on disk
+    records: list[dict] = []  # each window's manifest record; its data is on disk
     n_events = 0
     first = None
     sidecars: dict[str, Path] = {}  # by subject id, which prefixes each window id
@@ -170,28 +171,19 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
                 block[...] = zscore_array(filter_array(realization, block))
         except RecordingTooShort as exc:
             raise RecordingTooShort(f"{subject_dir}: {exc}") from exc
-        for w in ds.extract_windows(rec, events, table, cfg.window):
-            ds.write_window_file(f"{folder}/{w.window_id}.f32", w.data)
-            windows.append(replace(w, data=None))
+        for record, data in ds.extract_windows(rec, events, table, cfg.window):
+            ds.write_window_file(f"{folder}/{record['file']}", data)
+            records.append(record)
         n_events += len(events)
+    if not records:
+        raise RecordingTooShort(f"{raw}: none of its {n_events} events has window.length_samples="
+                                f"{cfg.window.length_samples} samples of recording from its onset")
 
-    splits = ds.split_windows(windows, cfg.split)
-    split_of = {w.window_id: name for name, ws in splits.items() for w in ws}
-
-    records = []
-    for w in sorted(windows, key=lambda w: w.window_id):
-        records.append(
-            {
-                "id": w.window_id,
-                "file": f"{w.window_id}.f32",
-                "subject_id": w.subject_id,
-                "categorical": w.label.categorical,
-                "binary": None if w.label.binary is None else w.label.binary.value,
-                "emotion": w.emotion,
-                "rating": w.rating,
-                "split": split_of[w.window_id],
-            }
-        )
+    splits = ds.split_windows(records, cfg.split)
+    for name, split in splits.items():
+        for record in split:
+            record["split"] = name
+    records.sort(key=lambda r: r["id"])
     manifest = {
         "sample_rate_hz": first.sample_rate_hz,
         "window_len": cfg.window.length_samples,
@@ -199,16 +191,16 @@ def cmd_preprocess(cfg: PipelineConfig, raw: Path, manifest_path: Path) -> dict:
         "rating_dimension": cfg.window.rating_dimension,
         "thresholds": list(cfg.window.thresholds),
         "emotion_table": table,
-        "skipped_events": n_events - len(windows),
+        "skipped_events": n_events - len(records),
         "windows": records,
-        "split_order": {name: [w.window_id for w in ws] for name, ws in splits.items()},
+        "split_order": {name: [r["id"] for r in split] for name, split in splits.items()},
     }
     ds.write_json_object(manifest_path, manifest)
     return {
         "n_subjects": len(subject_dirs),
         "n_events": n_events,
         "n_windows": len(records),
-        "skipped_events": n_events - len(windows),
+        "skipped_events": n_events - len(records),
         "split_counts": {name: len(ws) for name, ws in splits.items()},
         "class_counts": dict(Counter(r["emotion"] for r in records)),
     }
@@ -305,6 +297,11 @@ def _task_label(record: dict, task: str) -> int | None:
     return record[task] if task == "categorical" else ds.BINARY_CLASS_NAMES.index(record[task])
 
 
+def _class_names(table: dict[str, int], task: str) -> list[str]:
+    """A task's class names in class index order."""
+    return list(ds.BINARY_CLASS_NAMES) if task == "binary" else sorted(table, key=table.get)
+
+
 def _write_smote_records(
     features_dir: Path,
     matrices: dict[str, np.ndarray],
@@ -392,7 +389,14 @@ def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_path: Path) 
             for wid in train_ids
             if (label := _task_label(by_id[wid], task)) is not None
         ]
-        synthetic = _write_smote_records(features_dir, matrices, labeled, task, id_prefix, spec)
+        try:
+            synthetic = _write_smote_records(features_dir, matrices, labeled, task, id_prefix, spec)
+        except ClassTooSmall as exc:
+            name = _class_names(manifest["emotion_table"], task)[exc.label]
+            raise ClassTooSmall(
+                f"{task} task: train class {name!r} has {[c for _, c in labeled].count(exc.label)} "
+                f"windows; smote.k_neighbors={spec.k_neighbors} needs more than that"
+            ) from None
         records.extend(synthetic)
         n_synth[task] = len(synthetic)
 
@@ -421,8 +425,7 @@ def cmd_featurize(cfg: PipelineConfig, windows_path: Path, features_path: Path) 
 def _task_items(manifest_path: Path, manifest: dict, task: str):
     """Per split, the (feature file path, class index) pairs of one task, in train
     order; and the task's class names, in class index order."""
-    table = manifest["emotion_table"]
-    names = list(ds.BINARY_CLASS_NAMES) if task == "binary" else sorted(table, key=table.get)
+    names = _class_names(manifest["emotion_table"], task)
     by_split: dict[str, list] = {"train": [], "val": [], "test": []}
     id_order = {rid: pos for pos, rid in enumerate(manifest["train_order"])}
     records = sorted(

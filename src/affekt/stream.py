@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .dataset import DEFAULT_WINDOW_LEN, BinaryClass
+from .dataset import BINARY_CLASS_NAMES, DEFAULT_WINDOW_LEN
 from .errors import RecordingTooShort, ShapeMismatch
 from .features import PsdSpec, psd_feature_values, welch_setup
 from .nn import CnnConfig, Workspace, forward
@@ -145,7 +145,7 @@ def stream_classify(
                 proc_ms=proc_ms,
             )
         )
-        if name == BinaryClass.NEGATIVE.value:
+        if name == BINARY_CLASS_NAMES[0]:
             run += 1
             if run == spec.trigger_consecutive:
                 events.append(

@@ -26,6 +26,7 @@ from affekt.config import (
     load_config,
 )
 from affekt.errors import InvalidFormat, MissingFile, NonFiniteLoss
+from conftest import make_events, write_subject
 from oracles import noise_by_whole_mask
 
 
@@ -154,6 +155,11 @@ def test_unknown_config_key_rejected(tmp_path):
         ("train", "beta1", 1.0),
         ("train", "beta2", -0.5),
         ("train", "eps", 0),
+        # a list of numbers takes numbers only: never a string or a bool
+        ("window", "thresholds", ["a", "b"]),
+        ("filter", "edges_hz", [True, 52]),
+        ("filter", "edges_hz", ["48", "52"]),
+        ("split", "ratios", [True, False, False]),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -950,6 +956,54 @@ def test_repeated_subject_id_named_at_preprocess(capsys, tmp_path):
         f"{raw / 'sub-002' / 'eeg.json'}: subject_id 'sub-001' is {raw / 'sub-001' / 'eeg.json'}'s too"
     )
     assert not (tmp_path / "run" / "windows" / "windows.json").exists()
+
+
+def test_cohort_without_a_window_named_at_preprocess(capsys, tmp_path):
+    # two 1,000-sample subjects: no event has the 1,500 samples a window takes
+    path = tiny_config(tmp_path)
+    raw = tmp_path / "run" / "raw"
+    rng = np.random.default_rng(3)
+    for subject in ("sub-001", "sub-002"):
+        events = make_events([(0.1, 7.5, 7.0, "joy"), (0.9, 2.0, 2.5, "sad")])
+        write_subject(raw / subject, rng.standard_normal((4, 1000)), 512.0, events)
+    code, _, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "RecordingTooShort"
+    for part in (str(raw), "4 events", "window.length_samples=1500"):
+        assert part in payload["message"]
+    assert not (tmp_path / "run" / "windows" / "windows.json").exists()
+
+
+def test_skipped_events_counted_in_manifest_and_report(capsys, tmp_path):
+    # 6,000 samples at 512 Hz: the window at 9.0 s would end at sample 6,108
+    path = tiny_config(tmp_path)
+    run_dir = tmp_path / "run"
+    events = make_events([(0.5, 7.5, 7.0, "joy"), (3.6, 2.0, 2.5, "sad"),
+                          (6.8, 5.0, 5.0, "neutral"), (9.0, 7.0, 7.5, "joy")])
+    data = np.random.default_rng(4).standard_normal((4, 6000))
+    write_subject(run_dir / "raw" / "sub-001", data, 512.0, events)
+    code, out, err = run_cli(["preprocess", "--config", str(path)], capsys)
+    assert code == 0, err
+    manifest = json.loads((run_dir / "windows" / "windows.json").read_text())
+    assert json.loads(out)["skipped_events"] == 1
+    assert manifest["skipped_events"] == 1
+    assert [w["id"] for w in manifest["windows"]] == [f"sub-001-e00{i}" for i in range(3)]
+    assert not (run_dir / "windows" / "sub-001-e003.f32").exists()
+
+
+def test_smote_neighbors_beyond_a_train_class_named_at_featurize(capsys, tmp_path):
+    path = tiny_config(tmp_path, smote={"k_neighbors": 50})
+    for stage in ("synth", "preprocess"):
+        assert run_cli([stage, "--config", str(path)], capsys)[0] == 0
+    code, _, err = run_cli(["featurize", "--config", str(path)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ClassTooSmall"
+    assert re.search(r"^categorical task: train class '(joy|sad|neutral)' has \d+ windows; "
+                     r"smote.k_neighbors=50 needs more", payload["message"])
+    assert "np.int64(" not in payload["message"]
+    assert not (tmp_path / "run" / "features" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")

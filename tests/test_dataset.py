@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from affekt.dataset import (
     BINARY_CLASS_NAMES,
-    BinaryClass,
     EmotionEvent,
     SmoteSpec,
     SplitSpec,
@@ -130,13 +129,13 @@ def test_label_thresholds():
         for ev in events
     ]
     spec = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
-    labels = [label_from_ratings(ev, table, spec) for ev in evs]
-    assert labels[0].binary == BinaryClass.NEGATIVE
-    assert labels[1].binary == BinaryClass.POSITIVE
-    assert labels[2].binary is None
+    binaries = [label_from_ratings(ev, table, spec)[1] for ev in evs]
+    assert binaries[0] == "negative"
+    assert binaries[1] == "positive"
+    assert binaries[2] is None
     # thresholds are exclusive: ratings at 4 and 6 stay neutral
-    assert labels[3].binary is None
-    assert labels[4].binary is None
+    assert binaries[3] is None
+    assert binaries[4] is None
 
 
 def test_label_dimension_switch():
@@ -151,8 +150,8 @@ def test_label_dimension_switch():
     )
     arousal = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
     valence = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="valence")
-    assert label_from_ratings(ev, table, arousal).binary == BinaryClass.POSITIVE
-    assert label_from_ratings(ev, table, valence).binary == BinaryClass.NEGATIVE
+    assert label_from_ratings(ev, table, arousal)[1] == "positive"
+    assert label_from_ratings(ev, table, valence)[1] == "negative"
 
 
 @pytest.mark.parametrize(
@@ -171,7 +170,7 @@ def test_window_spec_rejects_bad_label_rule(kwargs):
 def test_emotion_table_ids_first_seen():
     table = {}
     ids = [
-        label_from_ratings(EmotionEvent(0.0, 1.0, "stimulus", 5.0, 5.0, name), table).categorical
+        label_from_ratings(EmotionEvent(0.0, 1.0, "stimulus", 5.0, 5.0, name), table)[0]
         for name in ("joy", "sad", "joy", "neutral", "sad")
     ]
     assert ids == [0, 1, 0, 2, 1]
@@ -200,8 +199,10 @@ def test_extract_windows_onset_and_skip(tmp_path, caplog):
         windows = extract_windows(rec, events, table, WindowSpec())
     assert len(windows) == 1
     start = round(1.0 * fs)
-    np.testing.assert_array_equal(windows[0].data, rec.data[:, start : start + 1500])
-    assert windows[0].window_id == "sub-005-e000"
+    record, data = windows[0]
+    np.testing.assert_array_equal(data, rec.data[:, start : start + 1500])
+    assert record == {"id": "sub-005-e000", "file": "sub-005-e000.f32", "subject_id": "sub-005",
+                      "categorical": 0, "binary": "positive", "emotion": "joy", "rating": 7.0}
     assert any("skip" in rec_.message.lower() for rec_ in caplog.records)
 
 
@@ -293,13 +294,8 @@ def test_smote_deterministic():
     np.testing.assert_array_equal(a[0], b[0])
 
 
-class FakeWindow:
-    def __init__(self, window_id, subject_id, categorical):
-        self.window_id = window_id
-        self.subject_id = subject_id
-        from affekt.dataset import ClassLabel
-
-        self.label = ClassLabel(categorical=categorical, binary=None)
+def fake_window(window_id, subject_id, categorical):
+    return {"id": window_id, "subject_id": subject_id, "categorical": categorical, "binary": None}
 
 
 def make_fake_windows(n_per_class=20, n_subjects=10):
@@ -308,7 +304,7 @@ def make_fake_windows(n_per_class=20, n_subjects=10):
     for cat in (0, 1, 2):
         for k in range(n_per_class):
             subject = f"sub-{(idx % n_subjects):03d}"
-            windows.append(FakeWindow(f"{subject}-e{idx:03d}", subject, cat))
+            windows.append(fake_window(f"{subject}-e{idx:03d}", subject, cat))
             idx += 1
     return windows
 
@@ -318,14 +314,14 @@ def test_split_ratios_and_determinism():
     a = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=1))
     b = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=1))
     c = split_windows(windows, SplitSpec((0.7, 0.15, 0.15), seed=2))
-    assert {k: [w.window_id for w in v] for k, v in a.items()} == {
-        k: [w.window_id for w in v] for k, v in b.items()
+    assert {k: [w["id"] for w in v] for k, v in a.items()} == {
+        k: [w["id"] for w in v] for k, v in b.items()
     }
-    assert [w.window_id for w in a["train"]] != [w.window_id for w in c["train"]]
+    assert [w["id"] for w in a["train"]] != [w["id"] for w in c["train"]]
     sizes = {k: len(v) for k, v in a.items()}
     assert sizes == {"train": 42, "val": 9, "test": 9}
-    ids = [w.window_id for split in a.values() for w in split]
-    assert sorted(ids) == sorted(w.window_id for w in windows)
+    ids = [w["id"] for split in a.values() for w in split]
+    assert sorted(ids) == sorted(w["id"] for w in windows)
 
 
 def test_split_stratified_per_class():
@@ -334,7 +330,7 @@ def test_split_stratified_per_class():
     for name, expected in (("train", 14), ("val", 3), ("test", 3)):
         counts = {}
         for w in splits[name]:
-            counts[w.label.categorical] = counts.get(w.label.categorical, 0) + 1
+            counts[w["categorical"]] = counts.get(w["categorical"], 0) + 1
         assert counts == {0: expected, 1: expected, 2: expected}
 
 
@@ -344,7 +340,7 @@ def test_split_subject_level_keeps_subjects_whole():
     seen = {}
     for name, split in splits.items():
         for w in split:
-            assert seen.setdefault(w.subject_id, name) == name
+            assert seen.setdefault(w["subject_id"], name) == name
 
 
 def test_split_errors():
@@ -406,6 +402,4 @@ def test_spec_integer_is_never_a_bool(build):
 
 
 def test_binary_class_name_order():
-    assert BINARY_CLASS_NAMES.index("negative") == 0
-    assert BinaryClass.NEGATIVE.value == "negative"
-    assert BinaryClass.POSITIVE.value == "positive"
+    assert BINARY_CLASS_NAMES == ("negative", "positive")
