@@ -105,13 +105,15 @@ class ModelSection:
         self.resolve_blocks()
 
     def resolve_blocks(self) -> tuple[BlockSpec, ...]:
-        if self.blocks is not None:
-            return tuple(BlockSpec(**dict(b)) for b in self.blocks)
-        if self.preset not in MODEL_PRESETS:
+        if self.blocks is None and self.preset not in MODEL_PRESETS:
             raise InvalidFormat(
                 f"unknown model preset {self.preset!r}; known: {sorted(MODEL_PRESETS)}"
             )
-        return tuple(BlockSpec(**dict(b)) for b in MODEL_PRESETS[self.preset])
+        blocks = MODEL_PRESETS[self.preset] if self.blocks is None else self.blocks
+        try:
+            return tuple(BlockSpec(**dict(b)) for b in blocks)
+        except (AffektError, ValueError, TypeError) as exc:
+            raise InvalidFormat(f"blocks {list(blocks)!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -201,24 +201,14 @@ def add_gaussian_noise(window, spec: NoiseSpec) -> np.ndarray:
     return delta
 
 
-@dataclass
-class ChannelShift:
-    channel: str
-    profile_clean: EntropyProfile
-    profile_noisy: EntropyProfile
-
-    @property
-    def delta(self) -> float:
-        return self.profile_noisy.complexity_index - self.profile_clean.complexity_index
-
-
 def complexity_shift_report(
     clean: np.ndarray,
     noisy: np.ndarray,
     params: EntropyParams = EntropyParams(),
     channel_names: list[str] | None = None,
-) -> list[ChannelShift]:
-    """Per-channel complexity index before and after noise injection."""
+) -> list[dict]:
+    """Per-channel complexity index before and after noise injection, as the
+    entropy report's channel records: channel, clean, noisy and delta."""
     clean = np.atleast_2d(np.asarray(clean, dtype=np.float64))
     noisy = np.atleast_2d(np.asarray(noisy, dtype=np.float64))
     if clean.shape != noisy.shape:
@@ -226,11 +216,13 @@ def complexity_shift_report(
     names = channel_names or [f"ch{idx:03d}" for idx in range(clean.shape[0])]
     report = []
     for idx in range(clean.shape[0]):
-        report.append(
-            ChannelShift(
-                channel=names[idx],
-                profile_clean=multiscale_entropy(clean[idx], params),
-                profile_noisy=multiscale_entropy(noisy[idx], params),
-            )
-        )
+        record = {"channel": names[idx]}
+        for key, x in (("clean", clean), ("noisy", noisy)):
+            profile = multiscale_entropy(x[idx], params)
+            record[key] = {
+                "scales": [{"tau": tau, "sampen": value} for tau, value in profile.per_scale],
+                "ci": profile.complexity_index,
+            }
+        record["delta"] = record["noisy"]["ci"] - record["clean"]["ci"]
+        report.append(record)
     return report

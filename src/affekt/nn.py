@@ -75,10 +75,13 @@ class BlockSpec:
     residual: bool = False
 
     def __post_init__(self) -> None:
-        if self.out_width < 1:
-            raise ShapeMismatch(f"block width must be >= 1, got {self.out_width}")
-        if self.stride not in (1, 2):
-            raise ShapeMismatch(f"stride must be 1 or 2, got {self.stride}")
+        # type() so that a bool, which JSON keeps apart from a number, is never a width or stride
+        if type(self.out_width) is not int or self.out_width < 1:
+            raise ShapeMismatch(f"block out_width must be an integer >= 1, got {self.out_width!r}")
+        if type(self.stride) is not int or self.stride not in (1, 2):
+            raise ShapeMismatch(f"block stride must be the integer 1 or 2, got {self.stride!r}")
+        if type(self.residual) is not bool:
+            raise ShapeMismatch(f"block residual must be true or false, got {self.residual!r}")
         if self.residual and self.stride != 1:
             raise ShapeMismatch("residual blocks require stride 1")
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import dataset as ds
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
-from .entropy import EntropyProfile, add_gaussian_noise, complexity_shift_report
+from .entropy import add_gaussian_noise, complexity_shift_report
 from .errors import (
     ClassTooSmall,
     EmptyEvaluationSet,
@@ -236,13 +236,6 @@ def cmd_augment(cfg: PipelineConfig, clean_path: Path, noisy_path: Path) -> dict
 # --- entropy ---
 
 
-def _profile_json(profile: EntropyProfile) -> dict:
-    return {
-        "scales": [{"tau": tau, "sampen": value} for tau, value in profile.per_scale],
-        "ci": profile.complexity_index,
-    }
-
-
 @_stage(("windows/windows.json",), writes=("reports/entropy.json",))
 def cmd_entropy(cfg: PipelineConfig, clean_path: Path, report_path: Path) -> dict:
     manifest, read_clean = _window_source(clean_path)
@@ -260,19 +253,10 @@ def cmd_entropy(cfg: PipelineConfig, clean_path: Path, report_path: Path) -> dic
     windows_out = []
     deltas = []
     for record in records:
-        channels = []
-        for shift in complexity_shift_report(
+        channels = complexity_shift_report(
             read_clean(record), read_noisy(record), params, manifest["channel_names"]
-        ):
-            deltas.append(shift.delta)
-            channels.append(
-                {
-                    "channel": shift.channel,
-                    "clean": _profile_json(shift.profile_clean),
-                    "noisy": _profile_json(shift.profile_noisy),
-                    "delta": shift.delta,
-                }
-            )
+        )
+        deltas.extend(c["delta"] for c in channels)
         windows_out.append({"window_id": record["id"], "channels": channels})
     report = {
         "params": {"m": params.m, "r_factor": params.r_factor, "max_scale": params.max_scale},
@@ -498,13 +482,13 @@ def cmd_train(
             result.params,
             meta={"task": task, "class_names": class_names, "source": manifest["source"]},
         )
-        _write_jsonl(log, map(asdict, result.epoch_log))
+        _write_jsonl(log, result.epoch_log)
         report[task_key] = {
             "task": task,
             "epochs_run": result.stopped_epoch,
             "best_epoch": result.best_epoch,
-            "best_val_loss": min(r.val_loss for r in result.epoch_log),
-            "final_val_acc": result.epoch_log[-1].val_acc,
+            "best_val_loss": min(r["val_loss"] for r in result.epoch_log),
+            "final_val_acc": result.epoch_log[-1]["val_acc"],
             "checkpoint": str(ckpt),
         }
     return report
@@ -556,6 +540,11 @@ def cmd_stream(
     cfg: PipelineConfig, ckpt: Path, raw: Path, events_path: Path, timing_path: Path
 ) -> dict:
     cnn_cfg, params, meta = load_checkpoint(ckpt)
+    if meta.get("class_names") != list(ds.BINARY_CLASS_NAMES):
+        raise StaleArtifact(
+            f"{ckpt} names its classes {meta.get('class_names')}, but the stream triggers on "
+            f"the binary head's {list(ds.BINARY_CLASS_NAMES)}; run the train stage again"
+        )
     subject = cfg.stream.source_subject
     subject_dir = _require(
         cfg, f"raw/{subject}", f"stream.source_subject {subject!r} names no subject in {raw}"
@@ -570,15 +559,16 @@ def cmd_stream(
         )
     realization = design_filter(cfg.filter.spec(rec.sample_rate_hz))
     spec = cfg.stream.spec(cfg.window.length_samples)
-    class_names = tuple(meta.get("class_names", ds.BINARY_CLASS_NAMES))
-    result = stream_classify(rec, realization, cfg.psd, params, cnn_cfg, class_names, spec)
+    result = stream_classify(
+        rec, realization, cfg.psd, params, cnn_cfg, ds.BINARY_CLASS_NAMES, spec
+    )
     _write_jsonl(
         events_path,
         (
             {
                 "t_s": ev.timestamp_s,
                 "window_id": ev.window_index,
-                "class": ev.detected_class,
+                "class": ev.class_name,
                 "confidence": ev.confidence,
                 "strategy": ev.strategy,
             }

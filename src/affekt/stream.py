@@ -9,9 +9,11 @@ filters and scores each window alone. For the same samples the two feature
 matrices differ (on the 40-subject synthetic cohort by up to 0.95 standard
 units), so a decision here can differ from one made on that window's
 feature file. When the negative class wins argmax for trigger_consecutive
-windows in a row, one intervention event is emitted and the run counter
-resets, so non-overlapping runs map to distinct events. Per-window wall time
-is measured so callers can check the real-time budget hop_samples / fs.
+windows in a row, the decision of the last of them fires an intervention:
+its strategy is set, and the result's events are those same decision
+objects. The run counter then resets, so non-overlapping runs map to
+distinct events. Per-window wall time is measured so callers can check the
+real-time budget hop_samples / fs.
 """
 
 from __future__ import annotations
@@ -62,21 +64,13 @@ class WindowDecision:
     class_name: str
     confidence: float
     proc_ms: float
-
-
-@dataclass
-class InterventionEvent:
-    timestamp_s: float
-    window_index: int
-    detected_class: str
-    confidence: float
-    strategy: str
+    strategy: str | None = None  # set on the decision that fires an intervention
 
 
 @dataclass
 class StreamResult:
     decisions: list[WindowDecision]
-    events: list[InterventionEvent]
+    events: list[WindowDecision]  # the decisions whose strategy is set
     mean_proc_ms: float
 
 
@@ -95,7 +89,7 @@ def stream_classify(
     class_names: tuple[str, ...],
     spec: StreamSpec = StreamSpec(),
 ) -> StreamResult:
-    """Classify every window position and emit intervention events."""
+    """Classify every window position; the decisions that fire interventions are the events."""
     if rec.n_samples < spec.window_len:
         raise RecordingTooShort(
             f"recording has {rec.n_samples} samples, window needs {spec.window_len}"
@@ -120,7 +114,7 @@ def stream_classify(
     workspace = Workspace(cnn_cfg)
     welch_setup(rec.sample_rate_hz, psd_spec)  # cached, so no window's timer includes it
     decisions: list[WindowDecision] = []
-    events: list[InterventionEvent] = []
+    events: list[WindowDecision] = []
     run = 0
     start = 0
     index = 0
@@ -133,30 +127,21 @@ def stream_classify(
         proc_ms = (time.perf_counter() - t0) * 1e3
         cls = int(probs.argmax())
         name = class_names[cls]
-        timestamp = (start + spec.window_len) / rec.sample_rate_hz
-        decisions.append(
-            WindowDecision(
-                window_index=index,
-                start_sample=start,
-                timestamp_s=timestamp,
-                class_index=cls,
-                class_name=name,
-                confidence=float(probs[cls]),
-                proc_ms=proc_ms,
-            )
+        decision = WindowDecision(
+            window_index=index,
+            start_sample=start,
+            timestamp_s=(start + spec.window_len) / rec.sample_rate_hz,
+            class_index=cls,
+            class_name=name,
+            confidence=float(probs[cls]),
+            proc_ms=proc_ms,
         )
+        decisions.append(decision)
         if name == BINARY_CLASS_NAMES[0]:
             run += 1
             if run == spec.trigger_consecutive:
-                events.append(
-                    InterventionEvent(
-                        timestamp_s=timestamp,
-                        window_index=index,
-                        detected_class=name,
-                        confidence=float(probs[cls]),
-                        strategy=_pick_strategy(spec.strategy_policy, len(events)),
-                    )
-                )
+                decision.strategy = _pick_strategy(spec.strategy_policy, len(events))
+                events.append(decision)
                 run = 0
         else:
             run = 0

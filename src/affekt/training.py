@@ -94,18 +94,9 @@ def adam_step(
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    lr: float
-    train_loss: float
-    val_loss: float
-    val_acc: float
-
-
-@dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
-    epoch_log: list[EpochRecord]
+    epoch_log: list[dict]  # the log rows: epoch, lr, train_loss, val_loss, val_acc
     best_epoch: int
     stopped_epoch: int
 
@@ -154,7 +145,7 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
     best_params = {k: p.copy() for k, p in params.items()}
     best_epoch = 0
     epochs_since_best = 0
-    epoch_log: list[EpochRecord] = []
+    epoch_log: list[dict] = []
     epoch = 0
     for epoch in range(1, tcfg.max_epochs + 1):
         lr = lr_at(epoch - 1, tcfg.lr0, tcfg.lr_decay)
@@ -175,7 +166,10 @@ def train(cfg: CnnConfig, tcfg: TrainConfig, train_batches, val_batches) -> Trai
         val_loss, val_acc = evaluate(params, cfg, val_batches, workspace)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss not finite at epoch {epoch}")
-        epoch_log.append(EpochRecord(epoch, lr, train_loss, val_loss, val_acc))
+        epoch_log.append(
+            {"epoch": epoch, "lr": lr, "train_loss": train_loss,
+             "val_loss": val_loss, "val_acc": val_acc}
+        )
         if val_loss < best_loss:
             best_loss = val_loss
             best_params = {k: p.copy() for k, p in params.items()}

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -160,6 +161,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ("filter", "edges_hz", [True, 52]),
         ("filter", "edges_hz", ["48", "52"]),
         ("split", "ratios", [True, False, False]),
+        # a block's width and stride are integers and its residual flag a bool
+        ("model", "blocks", [{"out_width": 2.5, "stride": 2, "residual": False}]),
+        ("model", "blocks", [{"out_width": 8, "stride": True, "residual": False}]),
+        ("model", "blocks", [{"out_width": True, "stride": 1, "residual": False}]),
     ],
 )
 def test_bad_section_value_rejected_at_load(capsys, tmp_path, section, key, value):
@@ -1111,6 +1116,103 @@ def test_damaged_manifest_named_by_the_stage_that_reads_it(
     assert payload["error"] == error
     assert str(bad_file) in payload["message"]
     assert expected in payload["message"]
+
+
+def _patch(offset_of, value: int):
+    """A damage that writes value as a u32 at the offset that offset_of finds in the bytes."""
+    def damage(path: Path) -> None:
+        data = bytearray(path.read_bytes())
+        at = offset_of(bytes(data))
+        data[at:at + 4] = struct.pack("<I", value)
+        path.write_bytes(data)
+    return damage
+
+
+def _first_rank_offset(data: bytes) -> int:
+    """The offset of a checkpoint's first tensor rank: after the config and the name."""
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    (name_len,) = struct.unpack_from("<I", data, 12 + blob_len)
+    return 12 + blob_len + 4 + name_len
+
+
+def _rewrite_json(change):
+    """A damage that rewrites a JSON file with change applied to its object."""
+    def damage(path: Path) -> None:
+        content = json.loads(path.read_text())
+        path.write_text(json.dumps(change(content)))
+    return damage
+
+
+# id: (stage, the damaged path, damage, what the message must name besides the path)
+INPUT_DAMAGES = {
+    "raw_without_subjects":
+        ("preprocess", lambda run: run / "raw",
+         lambda raw: [shutil.rmtree(d) for d in raw.iterdir()], "contains no subject directories"),
+    "events_without_arousal":
+        ("preprocess", lambda run: run / "raw" / "sub-001" / "events.tsv",
+         lambda p: p.write_text(p.read_text().replace("arousal", "level", 1)),
+         "header missing columns ['arousal']"),
+    "sidecar_n_samples_negative":
+        ("preprocess", lambda run: run / "raw" / "sub-001" / "eeg.json",
+         _rewrite_json(lambda c: {**c, "n_samples": -1}), "n_samples must be an integer >= 0"),
+    "sidecar_list":
+        ("preprocess", lambda run: run / "raw" / "sub-001" / "eeg.json",
+         lambda p: p.write_text("[]"), "must hold a JSON object"),
+    "checkpoint_version_2":
+        ("eval", lambda run: run / "model" / "task1_binary.ckpt",
+         _patch(lambda data: 4, 2), "unsupported version 2"),
+    "checkpoint_rank_9":
+        ("eval", lambda run: run / "model" / "task1_binary.ckpt",
+         _patch(_first_rank_offset, 9), "implausible rank 9"),
+    "feature_version_2":
+        ("eval", _first_test_feature_file, _patch(lambda data: 4, 2), "unsupported version 2"),
+    "feature_truncated_header":
+        ("eval", _first_test_feature_file, lambda p: p.write_bytes(p.read_bytes()[:12]),
+         "truncated header"),
+    "window_train_order_not_a_list":
+        ("featurize", lambda run: run / "windows" / "windows.json",
+         _rewrite_json(lambda m: {**m, "split_order": {**m["split_order"], "train": "x"}}),
+         "split_order: train must be a list of window ids"),
+    "window_record_not_an_object":
+        ("featurize", lambda run: run / "windows" / "windows.json",
+         _rewrite_json(lambda m: {**m, "windows": [5, *m["windows"][1:]]}),
+         "window 0: must be an object, got 5"),
+}
+
+
+@pytest.mark.parametrize(
+    "stage, target, damage, expected", INPUT_DAMAGES.values(), ids=INPUT_DAMAGES
+)
+def test_damaged_input_named_by_the_stage_that_reads_it(
+    capsys, tmp_path, complete_run, stage, target, damage, expected
+):
+    shutil.copytree(complete_run, tmp_path / "run")
+    path = tiny_config(tmp_path)
+    target = target(tmp_path / "run")
+    damage(target)
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    message = json.loads(err)["message"]
+    assert str(target) in message
+    assert expected in message
+    assert not any((tmp_path / "run" / rel).exists() for rel in pipeline.STAGES[stage].writes)
+
+
+def test_stream_refuses_a_checkpoint_that_is_not_the_binary_head(capsys, tmp_path, complete_run):
+    # the stream triggers on the binary head's "negative"; the categorical head has
+    # no such class, so it would run and write no intervention at all
+    shutil.copytree(complete_run, tmp_path / "run")
+    path = tiny_config(tmp_path)
+    model = tmp_path / "run" / "model"
+    shutil.copyfile(model / "task2_categorical.ckpt", model / "task1_binary.ckpt")
+    names = load_checkpoint(model / "task1_binary.ckpt")[2]["class_names"]
+    code, _, err = run_cli(["stream", "--config", str(path)], capsys)
+    assert code == 2, err
+    payload = json.loads(err)
+    assert payload["error"] == "StaleArtifact"
+    for part in (str(model / "task1_binary.ckpt"), str(names), "['negative', 'positive']"):
+        assert part in payload["message"]
+    assert not (tmp_path / "run" / "reports" / "interventions.jsonl").exists()
 
 
 @pytest.mark.parametrize(

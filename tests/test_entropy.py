@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affekt.entropy import (
-    ChannelShift,
     EntropyParams,
     NoiseSpec,
     add_gaussian_noise,
@@ -219,12 +218,12 @@ def test_shift_report_deltas_are_ci_differences():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = complexity_shift_report(clean, noisy, params, ["a", "b"])
-    assert [shift.channel for shift in report] == ["a", "b"]
+    assert [shift["channel"] for shift in report] == ["a", "b"]
     for shift in report:
-        assert isinstance(shift, ChannelShift)
-        ci_clean = shift.profile_clean.complexity_index
-        ci_noisy = shift.profile_noisy.complexity_index
-        assert shift.delta == pytest.approx(ci_noisy - ci_clean, abs=1e-12)
+        assert set(shift) == {"channel", "clean", "noisy", "delta"}
+        ci_clean = shift["clean"]["ci"]
+        ci_noisy = shift["noisy"]["ci"]
+        assert shift["delta"] == pytest.approx(ci_noisy - ci_clean, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

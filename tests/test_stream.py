@@ -93,7 +93,7 @@ def test_varied_decisions_match_trigger_oracle():
         names = [d.class_name for d in result.decisions]
         assert [e.window_index for e in result.events] == trigger_indices(names, m)
         for e in result.events:
-            assert e.detected_class == "negative"
+            assert e.class_name == "negative"
 
 
 def test_decision_fields_consistent():
