@@ -7,6 +7,12 @@ little-endian float32. Tensors are written in sorted-name order so identical
 models produce identical bytes. A checkpoint is written as one list of parts and
 read as one byte string, parsed field by field at offsets checked against its
 length.
+
+The config JSON holds CnnConfig's fields, whose dimensions, class count and seed
+are integers (never a float or a bool), and an optional "meta" object whose
+class_names, if present, is a list of strings. Tensor names and shapes are checked
+against nn.param_shapes of the config: computed, not drawn, so neither reading nor
+writing a checkpoint builds a network.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dataset import read_input, write_artifact
+from .dataset import _all_of_kind, read_input, write_artifact
 from .errors import InvalidFormat, ShapeMismatch
-from .nn import CnnConfig, init_params
+from .nn import CnnConfig, param_shapes
 
 CHECKPOINT_MAGIC = b"EEGM"
 CHECKPOINT_VERSION = 1
@@ -29,7 +35,7 @@ MAX_RANK = 8
 
 def _misfit(cfg: CnnConfig, params: dict[str, np.ndarray]) -> str | None:
     """How params differ in tensor names or shapes from cfg's network; None if they fit."""
-    expected = {name: p.shape for name, p in init_params(cfg).items()}
+    expected = param_shapes(cfg)
     for name in sorted(expected.keys() | params.keys()):
         if name not in params:
             return f"tensor {name} is missing"
@@ -71,8 +77,9 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
     """Returns (config, params as float64, meta dict).
 
     A missing path is MissingFile. A directory, a header that is not a valid
-    config, and tensors whose names or shapes differ from the ones that
-    config's network has, are InvalidFormat.
+    config or whose meta is not an object with a list of strings as class_names,
+    and tensors whose names or shapes differ from the ones that config's network
+    has, are InvalidFormat.
     """
     raw = read_input(path)
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -87,6 +94,10 @@ def load_checkpoint(path) -> tuple[CnnConfig, dict[str, np.ndarray], dict]:
         cfg = CnnConfig(**header)
     except (ValueError, TypeError, AttributeError, ShapeMismatch) as exc:
         raise InvalidFormat(f"{path}: bad config header: {exc}") from None
+    names = meta.get("class_names", []) if type(meta) is dict else None
+    if type(names) is not list or not _all_of_kind(names, str):
+        raise InvalidFormat(f"{path}: meta must be an object holding class_names as a list "
+                            f"of strings, got {meta!r}")
     params: dict[str, np.ndarray] = {}
     at = blob.stop
     while at < len(raw):

@@ -2,14 +2,15 @@
 
 A dataset is a directory of subject subdirectories, each holding an eeg.json
 sidecar (subject id, sampling rate, channel names, sample count), an eeg.f32
-raw payload (channel-major little-endian float32), and an events.tsv table
-with onset / duration / trial_type / valence / arousal / emotion columns.
+raw payload (channel-major little-endian float32), and an events.tsv table. An
+event is the dict of its row, keyed by EVENT_COLUMNS (onset, duration, trial_type,
+valence, arousal, emotion), with onset, duration and the ratings as floats.
 
 A window is its manifest record from the moment it is cut: extract_windows pairs
 each record (id, file, subject id, emotion, rating and both labels; preprocess adds
 the split) with its data. An event has two labels: a categorical id from a
 dataset-wide emotion table (a dict from name to id, ids in first-seen order), and a
-binary polarity, a name from BINARY_CLASS_NAMES, from a rating dimension against
+binary polarity, a name from BINARY_CLASS_NAMES, from a rating column against
 (low, high) thresholds. Ratings in the closed middle band have no polarity (None).
 
 The writers of JSON objects, events tables and float32 payloads live here too,
@@ -28,7 +29,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,6 @@ EVENT_COLUMNS = ("onset", "duration", "trial_type", "valence", "arousal", "emoti
 
 # Fixed output order for the two-class head: index 0 detects the negative state.
 BINARY_CLASS_NAMES = ("negative", "positive")
-
-
-@dataclass(frozen=True)
-class EmotionEvent:
-    onset_s: float
-    duration_s: float
-    trial_type: str
-    valence: float
-    arousal: float
-    emotion: str
 
 
 def read_json_object(path: Path) -> dict:
@@ -149,7 +140,7 @@ def write_json_object(path: Path, obj: dict) -> None:
     write_artifact(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
+def load_recording(subject_dir) -> tuple[Recording, list[dict]]:
     """Read one subject directory into a Recording plus its event list."""
     subject_dir = Path(subject_dir)
     sidecar_path = subject_dir / "eeg.json"
@@ -173,7 +164,7 @@ def load_recording(subject_dir) -> tuple[Recording, list[EmotionEvent]]:
     return Recording(sidecar["subject_id"], float(rate), names, raw), _load_events(events_path)
 
 
-def _load_events(events_path: Path) -> list[EmotionEvent]:
+def _load_events(events_path: Path) -> list[dict]:
     try:
         text = read_input(events_path).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -186,44 +177,39 @@ def _load_events(events_path: Path) -> list[EmotionEvent]:
         raise MalformedEvent(f"{events_path}: header missing columns {missing}")
     for row_num, row in enumerate(reader, start=2):
         try:
-            ev = EmotionEvent(
-                onset_s=float(row["onset"]),
-                duration_s=float(row["duration"]),
-                trial_type=row["trial_type"],
-                valence=float(row["valence"]),
-                arousal=float(row["arousal"]),
-                emotion=row["emotion"].strip(),
-            )
+            ev = {"onset": float(row["onset"]), "duration": float(row["duration"]),
+                  "trial_type": row["trial_type"], "valence": float(row["valence"]),
+                  "arousal": float(row["arousal"]), "emotion": row["emotion"].strip()}
         except (TypeError, ValueError, KeyError, AttributeError) as exc:
             raise MalformedEvent(f"{events_path} row {row_num}: {exc}") from exc
-        if not (0 <= ev.onset_s < math.inf and 0 <= ev.duration_s < math.inf):
+        if not (0 <= ev["onset"] < math.inf and 0 <= ev["duration"] < math.inf):
             raise MalformedEvent(
                 f"{events_path} row {row_num}: onset and duration must be finite and >= 0"
             )
-        for dim, value in (("valence", ev.valence), ("arousal", ev.arousal)):
-            if not (RATING_MIN <= value <= RATING_MAX):
+        for dim in ("valence", "arousal"):
+            if not (RATING_MIN <= ev[dim] <= RATING_MAX):
                 raise MalformedEvent(
-                    f"{events_path} row {row_num}: {dim}={value} outside "
+                    f"{events_path} row {row_num}: {dim}={ev[dim]} outside "
                     f"[{RATING_MIN}, {RATING_MAX}]"
                 )
-        if not ev.emotion:
+        if not ev["emotion"]:
             raise MalformedEvent(f"{events_path} row {row_num}: empty emotion name")
         events.append(ev)
     return events
 
 
-def write_events(path, events: list[EmotionEvent]) -> None:
+def write_events(path, events: list[dict]) -> None:
     """Write an events table that _load_events reads back as the same events."""
     text = io.StringIO(newline="")
     writer = csv.writer(text, delimiter="\t", lineterminator="\n")
-    writer.writerows([EVENT_COLUMNS, *map(astuple, events)])
+    writer.writerows([EVENT_COLUMNS, *([ev[c] for c in EVENT_COLUMNS] for ev in events)])
     write_artifact(path, text.getvalue().encode("utf-8"))
 
 
 @dataclass(frozen=True)
 class WindowSpec:
     """Event windows: their length, and the rating rule behind the binary label, whose
-    rating_dimension names the EmotionEvent field (the events.tsv column) it reads."""
+    rating_dimension names the events.tsv column it reads."""
 
     length_samples: int = DEFAULT_WINDOW_LEN
     thresholds: tuple = (4.0, 6.0)
@@ -244,20 +230,20 @@ class WindowSpec:
 
 
 def label_from_ratings(
-    event: EmotionEvent, table: dict[str, int], spec: WindowSpec = WindowSpec()
+    event: dict, table: dict[str, int], spec: WindowSpec = WindowSpec()
 ) -> tuple[int, str | None]:
     """The categorical id (the next id if the emotion is new) and the binary polarity of one
     rating dimension: BINARY_CLASS_NAMES[0] below the low threshold, [1] above the high one."""
     low, high = spec.thresholds
-    rating = getattr(event, spec.rating_dimension)
+    rating = event[spec.rating_dimension]
     binary = (BINARY_CLASS_NAMES[0] if rating < low
               else BINARY_CLASS_NAMES[1] if rating > high else None)
-    return table.setdefault(event.emotion, len(table)), binary
+    return table.setdefault(event["emotion"], len(table)), binary
 
 
 def extract_windows(
     rec: Recording,
-    events: list[EmotionEvent],
+    events: list[dict],
     table: dict[str, int],
     spec: WindowSpec = WindowSpec(),
 ) -> list[tuple[dict, np.ndarray]]:
@@ -265,14 +251,14 @@ def extract_windows(
     rec.data from the event's onset; events with too few samples left are skipped."""
     windows = []
     for idx, ev in enumerate(events):
-        start = int(round(ev.onset_s * rec.sample_rate_hz))
+        start = int(round(ev["onset"] * rec.sample_rate_hz))
         if start + spec.length_samples > rec.n_samples:
             continue
         categorical, binary = label_from_ratings(ev, table, spec)
         window_id = f"{rec.subject_id}-e{idx:03d}"
         record = {"id": window_id, "file": f"{window_id}.f32", "subject_id": rec.subject_id,
-                  "categorical": categorical, "binary": binary, "emotion": ev.emotion,
-                  "rating": getattr(ev, spec.rating_dimension)}
+                  "categorical": categorical, "binary": binary, "emotion": ev["emotion"],
+                  "rating": ev[spec.rating_dimension]}
         windows.append((record, rec.data[:, start:start + spec.length_samples]))
     if skipped := len(events) - len(windows):
         log.warning(
@@ -496,4 +482,6 @@ def read_feature_manifest(path: Path) -> dict:
     _check_keys(path, [manifest], _FEATURE_MANIFEST_KEYS)
     keys = {**_FEATURE_KEYS, "categorical": (None, *_emotion_ids(path, manifest))}
     _check_keys(path, manifest["records"], keys, "record {}: ")
+    if not _all_of_kind(manifest["train_order"], str):
+        raise InvalidFormat(f"{path}: train_order must be a list of record ids")
     return manifest

@@ -90,18 +90,26 @@ class PsdSpec:
 
 
 @lru_cache(maxsize=16)
-def welch_setup(fs_hz: float, spec: PsdSpec) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(segment, hop, window, grid) of spec at fs_hz, built once per pair.
+def welch_setup(
+    fs_hz: float, spec: PsdSpec, n_samples: int | None = None
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(segment, hop, window, grid) of spec at fs_hz, built once per argument list.
 
     The window is the density-scaled periodic Hann window and the grid the
     one-sided frequencies, with the bits of `scipy.signal.ShortTimeFFT(
     get_window("hann", seg), hop, fs_hz, mfft=seg, scale_to="psd")`'s `win`
     and `f`: built as `general_cosine` and `fac_psd` build them (the builtin
     sum included), without importing scipy.signal. A caller that times its
-    calls can run it first, so that no timed call pays for it.
+    calls can run it first, so that no timed call pays for it. Given n_samples,
+    the length of the series to analyse, a segment longer than that is
+    WindowTooShort before anything is sized by the segment.
     """
     seg = spec.resolve_segment_len(fs_hz)
     hop = spec.hop(seg)
+    if n_samples is not None and n_samples < seg:
+        raise WindowTooShort(
+            f"window of {n_samples} samples shorter than segment {seg} at {fs_hz} Hz"
+        )
     fac = np.linspace(-np.pi, np.pi, seg + 1)
     win = np.zeros(seg + 1)
     for k, a in enumerate((0.5, 0.5)):
@@ -114,9 +122,10 @@ def welch_setup(fs_hz: float, spec: PsdSpec) -> tuple[int, int, np.ndarray, np.n
     return seg, hop, win, grid
 
 
-def kept_bins(fs_hz: float, spec: PsdSpec) -> int:
-    """How many bins (0 < f <= max_freq_hz) a feature matrix at fs_hz keeps; EmptyBand if none."""
-    seg, _, _, grid = welch_setup(fs_hz, spec)
+def kept_bins(fs_hz: float, spec: PsdSpec, n_samples: int) -> int:
+    """How many bins (0 < f <= max_freq_hz) a feature matrix of n_samples-sample windows at
+    fs_hz keeps; EmptyBand if none, and WindowTooShort as welch_setup gives it."""
+    seg, _, _, grid = welch_setup(fs_hz, spec, n_samples)
     n = int(np.searchsorted(grid, spec.max_freq_hz, side="right")) - 1
     if n < 1:
         raise EmptyBand(
@@ -132,11 +141,9 @@ def _welch(x, fs_hz: float, spec: PsdSpec, band: bool) -> tuple[np.ndarray, np.n
     from scipy import fft as spfft
 
     x = np.asarray(x, dtype=np.float64)
-    seg, hop, win, grid = welch_setup(fs_hz, spec)
-    if x.shape[-1] < seg:
-        raise WindowTooShort(f"window of {x.shape[-1]} samples shorter than segment {seg}")
+    seg, hop, win, grid = welch_setup(fs_hz, spec, x.shape[-1])
     n_bins = len(grid)
-    lo, hi = (1, 1 + kept_bins(fs_hz, spec)) if band else (0, n_bins)
+    lo, hi = (1, 1 + kept_bins(fs_hz, spec, x.shape[-1])) if band else (0, n_bins)
     segs = sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
     segs = segs - segs.mean(axis=-1, keepdims=True)
     segs *= win

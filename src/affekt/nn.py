@@ -95,15 +95,16 @@ class CnnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, least in (("input_channels", 1), ("input_bins", 1), ("n_classes", 2), ("seed", 0)):
+            value = getattr(self, name)
+            # type() as in BlockSpec: a bool or a float is never a dimension, a count or a seed
+            if type(value) is not int or value < least:
+                raise ShapeMismatch(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(
             self,
             "blocks",
             tuple(b if isinstance(b, BlockSpec) else BlockSpec(**b) for b in self.blocks),
         )
-        if self.input_channels < 1 or self.input_bins < 1:
-            raise ShapeMismatch("input dimensions must be >= 1")
-        if self.n_classes < 2:
-            raise ShapeMismatch(f"need at least 2 classes, got {self.n_classes}")
         width = 1
         for idx, block in enumerate(self.blocks):
             if block.residual and block.out_width != width:
@@ -114,20 +115,30 @@ class CnnConfig:
             width = block.out_width
 
 
-def init_params(cfg: CnnConfig) -> dict[str, np.ndarray]:
-    """Kaiming-uniform fan-in weights, zero biases, fixed draw order."""
-    rng = np.random.default_rng(cfg.seed)
-    params: dict[str, np.ndarray] = {}
+def param_shapes(cfg: CnnConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each tensor of cfg's network by name, in init_params' draw order."""
+    shapes = {}
     width = 1
     for idx, block in enumerate(cfg.blocks):
-        fan_in = width * 9
-        bound = math.sqrt(6.0 / fan_in)
-        params[f"conv{idx}.w"] = rng.uniform(-bound, bound, size=(block.out_width, width, 3, 3))
-        params[f"conv{idx}.b"] = np.zeros(block.out_width)
+        shapes[f"conv{idx}.w"] = (block.out_width, width, 3, 3)
+        shapes[f"conv{idx}.b"] = (block.out_width,)
         width = block.out_width
-    bound = math.sqrt(6.0 / width)
-    params["dense.w"] = rng.uniform(-bound, bound, size=(width, cfg.n_classes))
-    params["dense.b"] = np.zeros(cfg.n_classes)
+    shapes["dense.w"] = (width, cfg.n_classes)
+    shapes["dense.b"] = (cfg.n_classes,)
+    return shapes
+
+
+def init_params(cfg: CnnConfig) -> dict[str, np.ndarray]:
+    """Kaiming-uniform fan-in weights, zero biases, drawn in param_shapes' order."""
+    rng = np.random.default_rng(cfg.seed)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
+            continue
+        # fan-in: a conv weight's input width x 3 x 3, the dense weight's pooled width
+        bound = math.sqrt(6.0 / (math.prod(shape[1:]) if len(shape) == 4 else shape[0]))
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

@@ -550,7 +550,7 @@ def cmd_stream(
         cfg, f"raw/{subject}", f"stream.source_subject {subject!r} names no subject in {raw}"
     )
     rec, _events = ds.load_recording(subject_dir)
-    data = (rec.n_channels, kept_bins(rec.sample_rate_hz, cfg.psd))
+    data = (rec.n_channels, kept_bins(rec.sample_rate_hz, cfg.psd, cfg.window.length_samples))
     model = (cnn_cfg.input_channels, cnn_cfg.input_bins)
     if data != model:
         raise StaleArtifact(

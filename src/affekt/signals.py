@@ -137,10 +137,13 @@ def design_filter(spec: FilterSpec) -> FilterRealization:
     from scipy import signal as sps
 
     wn = spec.edges_hz[0] if len(spec.edges_hz) == 1 else list(spec.edges_hz)
-    sections = sps.butter(
-        spec.order_n, wn, btype=spec.kind.value, fs=spec.fs_hz, output="sos"
-    )
-    real = FilterRealization(spec=spec, sections=sections)
+    try:
+        sections = sps.butter(
+            spec.order_n, wn, btype=spec.kind.value, fs=spec.fs_hz, output="sos"
+        )
+        real = FilterRealization(spec=spec, sections=sections)
+    except ValueError as exc:  # numpy's LinAlgError included, as at fs = 1e12 Hz
+        raise EdgeOutOfRange(f"design for {spec} failed: {exc}") from None
     # Pole check is cheap; a blow-up here means the design request was degenerate.
     if not real.is_stable():
         raise EdgeOutOfRange(f"design for {spec} produced an unstable realization")

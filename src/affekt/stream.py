@@ -112,7 +112,7 @@ def stream_classify(
             f"{len(class_names)} class names for a {cnn_cfg.n_classes}-class head"
         )
     workspace = Workspace(cnn_cfg)
-    welch_setup(rec.sample_rate_hz, psd_spec)  # cached, so no window's timer includes it
+    welch_setup(rec.sample_rate_hz, psd_spec, spec.window_len)  # cached: no window's timer pays it
     decisions: list[WindowDecision] = []
     events: list[WindowDecision] = []
     run = 0

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EmotionEvent, _int_at_least, write_events, write_json_object, write_window_file
+from .dataset import EVENT_COLUMNS, _int_at_least, write_events, write_json_object, write_window_file
 from .errors import ShapeMismatch, StaleArtifact
 
 MUSE_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
@@ -155,8 +155,8 @@ def synth_generate(out_dir, spec: SynthSpec, window_len: int) -> dict:
                 data[:, span] += _band_noise(rng, channels, window_len, fs_hz, SHELF_BAND, SHELF_RMS)
             elif template.band == "low":
                 data[:, span] += _ridges(rng, channels, window_len, fs_hz)
-            onset, duration = start / fs_hz, window_len / fs_hz
-            events.append(EmotionEvent(onset, duration, "stimulus", valence, arousal, emotion))
+            row = (start / fs_hz, window_len / fs_hz, "stimulus", valence, arousal, emotion)
+            events.append(dict(zip(EVENT_COLUMNS, row)))
 
         subject_dir = out_dir / subject_id
         subject_dir.mkdir(parents=True, exist_ok=True)

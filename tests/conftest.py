@@ -69,7 +69,7 @@ def laid_out(rng, shape: tuple, layout: str) -> np.ndarray:
 
 
 def make_events(specs: list[tuple[float, float, float, str]]) -> list[dict]:
-    """specs rows: (onset_s, valence, arousal, emotion)."""
+    """specs rows: (onset, valence, arousal, emotion)."""
     return [
         {
             "onset": onset,

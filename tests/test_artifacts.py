@@ -13,7 +13,7 @@ import affekt
 from affekt import pipeline
 from affekt.checkpoint import save_checkpoint
 from affekt.dataset import (
-    EmotionEvent,
+    EVENT_COLUMNS,
     write_artifact,
     write_events,
     write_json_object,
@@ -32,7 +32,8 @@ def _json(path, n):
 
 
 def _events(path, n):
-    write_events(path, [EmotionEvent(float(i), 2.5, "stimulus", 5.0, 6.0, "joy") for i in range(n)])
+    write_events(path, [dict(zip(EVENT_COLUMNS, (float(i), 2.5, "stimulus", 5.0, 6.0, "joy")))
+                        for i in range(n)])
 
 
 def _features(path, n):

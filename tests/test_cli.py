@@ -1063,6 +1063,9 @@ MANIFEST_DAMAGES = {
     "feature_joy_id_7":
         (FEATURES, _renumber_joy("records"), "train", "InvalidFormat",
          "emotion_table ids must be 0 to 2, got {'joy': 7, 'neutral': 1, 'sad': 0}"),
+    "feature_train_order_entry_list":
+        (FEATURES, lambda m: m["train_order"].__setitem__(0, []), "train", "InvalidFormat",
+         "train_order must be a list of record ids"),
     "feature_without_n_channels":
         (FEATURES, lambda m: m.pop("n_channels"), "eval", "InvalidFormat",
          "missing key 'n_channels'"),
@@ -1213,6 +1216,77 @@ def test_stream_refuses_a_checkpoint_that_is_not_the_binary_head(capsys, tmp_pat
     for part in (str(model / "task1_binary.ckpt"), str(names), "['negative', 'positive']"):
         assert part in payload["message"]
     assert not (tmp_path / "run" / "reports" / "interventions.jsonl").exists()
+
+
+def _rewrite_header(change):
+    """A damage that rewrites a checkpoint's JSON config header with change applied to it."""
+    def damage(path: Path) -> None:
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 8)
+        blob = json.dumps(change(json.loads(data[12:12 + blob_len]))).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len:])
+    return damage
+
+
+# id: (header key, value, what the message must name besides the checkpoint)
+HEADER_DAMAGES = {
+    **{f"meta_{label}": ("meta", value, f"meta must be an object holding class_names as a list "
+                                        f"of strings, got {value!r}")
+       for label, value in (("2.5", 2.5), ("true", True), ("x", "x"), ("null", None),
+                            ("list", []), ("-1", -1), ("0", 0), ("1e12", 10**12))},
+    **{f"seed_{label}": ("seed", value, f"seed must be an integer >= 0, got {value!r}")
+       for label, value in (("2.5", 2.5), ("x", "x"), ("object", {}), ("-1", -1),
+                            ("505.0", 505.0))},
+    "input_channels_4.0": ("input_channels", 4.0, "input_channels must be an integer >= 1, got 4.0"),
+    "input_bins_128.0": ("input_bins", 128.0, "input_bins must be an integer >= 1, got 128.0"),
+    "n_classes_2.0": ("n_classes", 2.0, "n_classes must be an integer >= 2, got 2.0"),
+    "n_classes_2.5": ("n_classes", 2.5, "n_classes must be an integer >= 2, got 2.5"),
+    "n_classes_1e12": ("n_classes", 10**12, "the model needs (1000000000000,)"),
+    "out_width_1e12": ("blocks", [{"out_width": 10**12, "residual": False, "stride": 2}],
+                       "the model needs (1000000000000,)"),
+}
+
+
+@pytest.mark.parametrize("stage", ["eval", "stream"])
+@pytest.mark.parametrize("key, value, expected", HEADER_DAMAGES.values(), ids=HEADER_DAMAGES)
+def test_damaged_checkpoint_header_named_by_eval_and_stream(
+    capsys, tmp_path, complete_run, stage, key, value, expected
+):
+    # the header's dims, class count and seed are integers, meta is an object, and the
+    # tensor shapes are computed from the config, so n_classes 10^12 allocates nothing
+    shutil.copytree(complete_run, tmp_path / "run")
+    path = tiny_config(tmp_path)
+    ckpt = tmp_path / "run" / "model" / "task1_binary.ckpt"
+    _rewrite_header(lambda header: {**header, key: value})(ckpt)
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidFormat"
+    assert str(ckpt) in payload["message"]
+    assert expected in payload["message"]
+    assert not any((tmp_path / "run" / rel).exists() for rel in pipeline.STAGES[stage].writes)
+
+
+@pytest.mark.parametrize(
+    "stage, rel, error",
+    [("preprocess", "raw/sub-001/eeg.json", "EdgeOutOfRange"),
+     ("featurize", "windows/windows.json", "WindowTooShort"),
+     ("stream", "raw/sub-001/eeg.json", "WindowTooShort")],
+)
+def test_sample_rate_of_1e12_hz_named_by_the_stage_that_reads_it(
+    capsys, tmp_path, complete_run, stage, rel, error
+):
+    # a failed filter design, and a one-second segment longer than the window,
+    # are refused before anything is sized by the rate
+    shutil.copytree(complete_run, tmp_path / "run")
+    path = tiny_config(tmp_path)
+    _rewrite_json(lambda content: {**content, "sample_rate_hz": 10**12})(tmp_path / "run" / rel)
+    code, _, err = run_cli([stage, "--config", str(path)], capsys)
+    assert code == 2, err
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert "1000000000000" in payload["message"]
+    assert not any((tmp_path / "run" / rel).exists() for rel in pipeline.STAGES[stage].writes)
 
 
 @pytest.mark.parametrize(

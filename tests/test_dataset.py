@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from affekt.dataset import (
     BINARY_CLASS_NAMES,
-    EmotionEvent,
+    EVENT_COLUMNS,
     SmoteSpec,
     SplitSpec,
     WindowSpec,
@@ -44,8 +44,8 @@ def test_load_recording_roundtrip(subject_dir):
     assert rec.sample_rate_hz == 512.0
     assert rec.data.shape == (4, 6000)
     assert rec.data.dtype == np.float64
-    assert [ev.emotion for ev in events] == ["joy", "sad", "neutral"]
-    assert events[0].onset_s == pytest.approx(0.5)
+    assert [ev["emotion"] for ev in events] == ["joy", "sad", "neutral"]
+    assert events[0]["onset"] == pytest.approx(0.5)
 
 
 def test_load_recording_missing_files(tmp_path):
@@ -99,8 +99,9 @@ def test_written_events_load_back_exactly(tmp_path):
     sdir = tmp_path / "sub-007"
     write_subject(sdir, np.zeros((2, 100)), 512.0, [])
     events = [
-        EmotionEvent(0.1 + 0.2, 1500 / 512.0, "stimulus", 7.123456789012345, 1 + 2 / 3, "joy"),
-        EmotionEvent(1e-7, 2.93, "rest", 1.0, 9.0, "sad"),
+        dict(zip(EVENT_COLUMNS,
+                 (0.1 + 0.2, 1500 / 512.0, "stimulus", 7.123456789012345, 1 + 2 / 3, "joy"))),
+        dict(zip(EVENT_COLUMNS, (1e-7, 2.93, "rest", 1.0, 9.0, "sad"))),
     ]
     write_events(sdir / "events.tsv", events)
     assert load_recording(sdir)[1] == events
@@ -117,19 +118,8 @@ def test_label_thresholds():
             (0.0, 5.0, 6.0, "edge-high"),
         ]
     )
-    evs = [
-        EmotionEvent(
-            onset_s=ev["onset"],
-            duration_s=ev["duration"],
-            trial_type="stimulus",
-            valence=ev["valence"],
-            arousal=ev["arousal"],
-            emotion=ev["emotion"],
-        )
-        for ev in events
-    ]
     spec = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
-    binaries = [label_from_ratings(ev, table, spec)[1] for ev in evs]
+    binaries = [label_from_ratings(ev, table, spec)[1] for ev in events]
     assert binaries[0] == "negative"
     assert binaries[1] == "positive"
     assert binaries[2] is None
@@ -140,14 +130,14 @@ def test_label_thresholds():
 
 def test_label_dimension_switch():
     table = {}
-    ev = EmotionEvent(
-        onset_s=0.0,
-        duration_s=1.0,
-        trial_type="stimulus",
-        valence=2.0,
-        arousal=8.0,
-        emotion="mixed",
-    )
+    ev = {
+        "onset": 0.0,
+        "duration": 1.0,
+        "trial_type": "stimulus",
+        "valence": 2.0,
+        "arousal": 8.0,
+        "emotion": "mixed",
+    }
     arousal = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="arousal")
     valence = WindowSpec(thresholds=(4.0, 6.0), rating_dimension="valence")
     assert label_from_ratings(ev, table, arousal)[1] == "positive"
@@ -170,7 +160,7 @@ def test_window_spec_rejects_bad_label_rule(kwargs):
 def test_emotion_table_ids_first_seen():
     table = {}
     ids = [
-        label_from_ratings(EmotionEvent(0.0, 1.0, "stimulus", 5.0, 5.0, name), table)[0]
+        label_from_ratings({"valence": 5.0, "arousal": 5.0, "emotion": name}, table)[0]
         for name in ("joy", "sad", "joy", "neutral", "sad")
     ]
     assert ids == [0, 1, 0, 2, 1]

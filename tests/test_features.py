@@ -20,6 +20,7 @@ from affekt.features import (
     FEATURE_VERSION,
     LOG_FLOOR,
     PsdSpec,
+    kept_bins,
     psd_feature_values,
     read_feature_file,
     welch_psd,
@@ -78,6 +79,15 @@ def test_window_too_short():
     # 128 x 100 holds 12800 samples in all, but each channel is still too short
     with pytest.raises(WindowTooShort):
         psd_feature_values(np.zeros((128, 100)), FS, PsdSpec(segment_len=512))
+
+
+def test_segment_longer_than_the_window_refused_before_it_is_built():
+    # a one-second segment at 10^12 Hz would be a Hann window of 10^12 floats
+    with pytest.raises(WindowTooShort, match=r"1500 samples shorter than segment 1000000000000 "
+                                             r"at 1000000000000\.0 Hz"):
+        welch_setup(1e12, PsdSpec(), 1500)
+    with pytest.raises(WindowTooShort, match="1500 samples"):
+        kept_bins(1e12, PsdSpec(), 1500)
 
 
 def test_hop_of_zero_samples_is_window_too_short():

@@ -122,6 +122,12 @@ def test_spec_validation_errors():
         FilterSpec(FilterKind.LOWPASS, 4, (40.0, 45.0), FS)  # needs one edge
 
 
+def test_failed_design_is_edge_out_of_range_naming_the_rate():
+    # at 10^12 Hz scipy's design of the 48-52 Hz band-stop raises LinAlgError (singular matrix)
+    with pytest.raises(EdgeOutOfRange, match=r"fs_hz=1000000000000\.0\).* failed"):
+        design_filter(powerline_notch(1e12))
+
+
 def test_notch_removes_tone_component_keeps_neighbors():
     n = 2048
     t = np.arange(n) / FS
