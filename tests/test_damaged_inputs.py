@@ -115,10 +115,6 @@ def _load_sidecar(path, sidecar):
     assert [ev["emotion"] for ev in events] == ["sad"]
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
 def _check_table(manifest) -> tuple:
     table = manifest["emotion_table"]
     assert type(table) is dict
@@ -143,7 +139,7 @@ def _check_records(records, ids, categorical_kinds, keys):
 def _load_window_manifest(path, manifest):
     write_json_object(path, manifest)
     got = read_window_manifest(path)
-    assert _is_number(got["sample_rate_hz"]) and type(got["window_len"]) is int
+    assert type(got["sample_rate_hz"]) in (int, float) and type(got["window_len"]) is int
     assert type(got["channel_names"]) is list and type(got["split_order"]) is dict
     ids = _check_table(got)
     assert got["windows"]
